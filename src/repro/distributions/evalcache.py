@@ -284,11 +284,23 @@ def cached_grid(dist, dt: float, n: int, compute):
     return value
 
 
-def cached_inversion(dist, method: str, terms: int, mollify_width: float, t: np.ndarray, compute):
+def cached_inversion(
+    dist,
+    method: str,
+    terms: int,
+    mollify_width: float,
+    t: np.ndarray,
+    compute,
+    *,
+    _pointwise: bool = False,
+):
     """Memoise a full CDF inversion result for one distribution.
 
     Keyed on the distribution's value token plus every inversion knob
     and the (flattened) evaluation times; returns a read-only array.
+    A point-wise batch (see :func:`repro.laplace.invert_cdf`) skips the
+    monotone repair, so it never shares an entry with a repaired batch
+    of the same times.
     """
     _calls["inversion"] += 1
     token = dist.cache_token() if _enabled else None
@@ -296,7 +308,7 @@ def cached_inversion(dist, method: str, terms: int, mollify_width: float, t: np.
         return compute()
     _validate_token(dist, token)
     t = np.ascontiguousarray(t, dtype=float)
-    key = (token, method, int(terms), float(mollify_width), t.shape, t.tobytes())
+    key = (token, method, int(terms), float(mollify_width), _pointwise, t.shape, t.tobytes())
     value = _lookup(_inversions, key)
     if value is None:
         value = np.asarray(compute(), dtype=float)

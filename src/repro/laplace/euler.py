@@ -60,12 +60,16 @@ def euler_nodes(m: int = DEFAULT_TERMS) -> tuple[np.ndarray, np.ndarray]:
     return beta, xi
 
 
-def euler_invert(transform, t, *, terms: int = DEFAULT_TERMS):
+def euler_invert(transform, t, *, terms: int = DEFAULT_TERMS, _rowwise: bool = False):
     """Invert ``transform`` (a callable of complex ``s``) at times ``t``.
 
     ``t`` may be a scalar or array of positive times; the transform must
     accept numpy complex arrays and broadcast elementwise.  Returns the
     reconstructed ``f(t)`` with the same shape as ``t``.
+
+    ``_rowwise`` (private to the quantile search) sums each time's node
+    row on its own, as a one-time call does: a multi-row BLAS product
+    sums in a different order and can move the result in the last bits.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -77,7 +81,7 @@ def euler_invert(transform, t, *, terms: int = DEFAULT_TERMS):
     # call evaluates the whole stencil.
     s = beta[np.newaxis, :] / t_flat[:, np.newaxis]
     vals = np.real(np.asarray(transform(s), dtype=complex))
-    sums = vals @ xi
+    sums = np.array([row @ xi for row in vals]) if _rowwise else vals @ xi
     out = (10.0 ** (terms / 3.0)) * sums / t_flat
     if scalar:
         return float(out[0])

@@ -47,8 +47,11 @@ def gaver_weights(m: int = DEFAULT_TERMS) -> np.ndarray:
     return zeta
 
 
-def gaver_invert(transform, t, *, terms: int = DEFAULT_TERMS):
-    """Invert ``transform`` at positive times ``t`` via Gaver--Stehfest."""
+def gaver_invert(transform, t, *, terms: int = DEFAULT_TERMS, _rowwise: bool = False):
+    """Invert ``transform`` at positive times ``t`` via Gaver--Stehfest.
+
+    ``_rowwise`` sums row by row, as in :func:`~repro.laplace.euler.euler_invert`.
+    """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_flat = np.atleast_1d(t_arr).astype(float)
@@ -58,7 +61,8 @@ def gaver_invert(transform, t, *, terms: int = DEFAULT_TERMS):
     k = np.arange(1, 2 * terms + 1)
     s = (k[np.newaxis, :] * np.log(2.0)) / t_flat[:, np.newaxis]
     vals = np.real(np.asarray(transform(s.astype(complex)), dtype=complex))
-    out = (np.log(2.0) / t_flat) * (vals @ zeta)
+    sums = np.array([row @ zeta for row in vals]) if _rowwise else vals @ zeta
+    out = (np.log(2.0) / t_flat) * sums
     if scalar:
         return float(out[0])
     return out.reshape(t_arr.shape)

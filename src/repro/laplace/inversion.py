@@ -135,6 +135,7 @@ def invert_cdf(
     terms: int | None = None,
     mollify_width: float = 0.0,
     diagnostics=None,
+    _pointwise: bool = False,
 ):
     """Evaluate ``P(X <= t)`` by inverting ``L(s)/s``.
 
@@ -145,6 +146,12 @@ def invert_cdf(
     interior atoms.  ``diagnostics`` (or an ambient
     :class:`~repro.obs.diagnostics.DiagnosticsSession`) receives an
     :class:`~repro.obs.diagnostics.InversionRecord` for the call.
+
+    ``_pointwise`` is private to
+    :meth:`~repro.distributions.base.Distribution.quantile`: every
+    entry of ``t`` comes out bit-identical to a one-time call at that
+    time.  The cross-point monotone repair is skipped, each node row is
+    summed on its own, and the result is memoised under its own key.
     """
     invert = _resolve(method)
     terms = _DEFAULT_TERMS[method] if terms is None else terms
@@ -186,7 +193,8 @@ def invert_cdf(
         if np.any(pos):
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = np.asarray(
-                    invert(transform, t_flat[pos], terms=terms), dtype=float
+                    invert(transform, t_flat[pos], terms=terms, _rowwise=_pointwise),
+                    dtype=float,
                 )
             # Node sums can overflow to NaN for t within a few ULP of
             # zero (quadrature nodes scale as 1/t).  The t -> 0+ limit
@@ -199,7 +207,7 @@ def invert_cdf(
                 moved = np.abs(clipped - vals)
             state["clip"] = float(moved[np.isfinite(moved)].sum())
             out[pos] = clipped
-        if out.size > 1:
+        if out.size > 1 and not _pointwise:
             # A CDF is non-decreasing, but truncated-series inversion
             # (Gibbs ripple near atoms, cancellation at large ``t``) can
             # produce tiny local inversions.  Enforce monotonicity with a
@@ -226,7 +234,9 @@ def invert_cdf(
     # Whole-inversion memo: repeated SLA evaluations of value-identical
     # composites (same times, same quadrature) skip the node sums
     # entirely.  Uncacheable distributions fall straight through.
-    out = evalcache.cached_inversion(dist, method, terms, mollify_width, t_flat, compute)
+    out = evalcache.cached_inversion(
+        dist, method, terms, mollify_width, t_flat, compute, _pointwise=_pointwise
+    )
 
     sink = _sink(diagnostics)
     if sink is not None:

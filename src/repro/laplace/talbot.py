@@ -50,8 +50,11 @@ def talbot_nodes(m: int = DEFAULT_TERMS) -> tuple[np.ndarray, np.ndarray]:
     return delta, gamma
 
 
-def talbot_invert(transform, t, *, terms: int = DEFAULT_TERMS):
-    """Invert ``transform`` at positive times ``t`` via fixed Talbot."""
+def talbot_invert(transform, t, *, terms: int = DEFAULT_TERMS, _rowwise: bool = False):
+    """Invert ``transform`` at positive times ``t`` via fixed Talbot.
+
+    ``_rowwise`` sums row by row, as in :func:`~repro.laplace.euler.euler_invert`.
+    """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_flat = np.atleast_1d(t_arr).astype(float)
@@ -60,7 +63,7 @@ def talbot_invert(transform, t, *, terms: int = DEFAULT_TERMS):
     delta, gamma = talbot_nodes(terms)
     s = delta[np.newaxis, :] / t_flat[:, np.newaxis]
     vals = np.asarray(transform(s), dtype=complex)
-    sums = np.real(vals @ gamma)
+    sums = np.real(np.array([row @ gamma for row in vals]) if _rowwise else vals @ gamma)
     out = (2.0 / (5.0 * t_flat)) * sums
     if scalar:
         return float(out[0])
