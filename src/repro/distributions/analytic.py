@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 from repro.distributions.base import (
     Distribution,
@@ -46,6 +46,29 @@ __all__ = [
     "Hyperexponential",
     "Uniform",
 ]
+
+
+def _standard_cdf(x, lower: float, valid: bool, kernel) -> np.ndarray:
+    """``scipy.stats.rv_continuous.cdf`` on a standardised ``x``.
+
+    ``x`` is ``(t - loc) / scale``, computed by the caller as scipy does.
+    The masks are scipy's, applied in its order: invalid parameters or a
+    NaN ``x`` give NaN, ``x >= inf`` gives 1, the open support
+    ``(lower, inf)`` gives ``kernel(x)`` and everything else 0.  With the
+    same ``scipy.special`` kernel every value is bit-identical to
+    scipy's, without importing ``scipy.stats``.  A 0-d ``x`` returns a
+    numpy scalar, like scipy.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    with np.errstate(invalid="ignore"):
+        out[np.isnan(x) | (not valid)] = np.nan
+        if valid:
+            out[x >= np.inf] = 1.0
+            inside = (lower < x) & (x < np.inf)
+            if inside.any():
+                out[inside] = kernel(x[inside])
+    return out[()]
 
 
 class Degenerate(Distribution):
@@ -170,7 +193,11 @@ class Gamma(Distribution):
 
     def cdf(self, t, **kwargs):
         t = np.asarray(t, dtype=float)
-        return _stats.gamma.cdf(t, self.shape, scale=1.0 / self.rate)[()]
+        scale = 1.0 / self.rate
+        return _standard_cdf(
+            (t - 0) / scale, 0.0, self.shape > 0 and scale > 0,
+            lambda x: _special.gammainc(self.shape, x),
+        )
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
@@ -217,7 +244,7 @@ class Normal(Distribution):
     def __init__(self, mu: float, sigma: float) -> None:
         self.mu = check_positive("mu", mu)
         self.sigma = check_positive("sigma", sigma)
-        neg = _stats.norm.cdf(0.0, loc=self.mu, scale=self.sigma)
+        neg = self.cdf(0.0)
         if neg > self.MAX_NEGATIVE_MASS:
             raise DistributionError(
                 "Normal latency model requires mu >> sigma; "
@@ -241,7 +268,9 @@ class Normal(Distribution):
 
     def cdf(self, t, **kwargs):
         t = np.asarray(t, dtype=float)
-        return _stats.norm.cdf(t, loc=self.mu, scale=self.sigma)[()]
+        return _standard_cdf(
+            (t - self.mu) / self.sigma, -np.inf, self.sigma > 0, _special.ndtr
+        )
 
     def sample(self, rng: np.random.Generator, size=None):
         out = rng.normal(self.mu, self.sigma, size=size)
@@ -296,7 +325,11 @@ class Lognormal(Distribution):
 
     def cdf(self, t, **kwargs):
         t = np.asarray(t, dtype=float)
-        return _stats.lognorm.cdf(t, self.sigma, scale=math.exp(self.mu))[()]
+        scale = math.exp(self.mu)
+        return _standard_cdf(
+            (t - 0) / scale, 0.0, self.sigma > 0 and scale > 0,
+            lambda x: _special.ndtr(np.log(x) / self.sigma),
+        )
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.lognormal(self.mu, self.sigma, size=size)

@@ -18,7 +18,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 from repro.distributions.base import Distribution, DistributionError
 from repro.distributions.analytic import (
@@ -85,15 +85,121 @@ def fit_gamma(samples) -> FitResult:
     if positive.size >= 2 and _relative_spread(positive) > 1e-9:
         try:
             with np.errstate(invalid="ignore", divide="ignore"):
-                shape, _loc, scale = _stats.gamma.fit(positive, floc=0.0)
+                shape, scale = _gamma_mle(positive)
             dist = Gamma(shape, 1.0 / scale)
-        except (ValueError, RuntimeError):
+        except ValueError:
             dist = None  # MLE diverges on (near-)constant data
     if dist is None:
         # Moment fallback: a huge-shape Gamma approximating a point mass.
         mean = float(samples.mean())
         dist = Gamma(1e6, 1e6 / max(mean, 1e-12))
     return FitResult("gamma", dist, ks_statistic(samples, dist), samples.size)
+
+
+def _gamma_mle(data: np.ndarray) -> tuple[float, float]:
+    """Shape and scale of ``scipy.stats.gamma.fit(data, floc=0)``.
+
+    scipy's explicit fixed-location MLE, step for step, for finite
+    positive ``data``: the shape solves ``log(a) - digamma(a) = s`` on
+    scipy's bracket around the closed-form estimate ``aest``, and the
+    scale is ``mean / a``.  Same operations in the same order and a
+    line-for-line ``brentq`` give bit-identical floats without
+    importing ``scipy.stats``; ``ValueError`` is raised exactly where
+    scipy raises it.
+    """
+    xbar = data.mean()
+    s = np.log(xbar) - np.log(data).mean()
+    aest = (3-s + np.sqrt((s-3)**2 + 24*s)) / (12*s)
+    xa = aest*(1-0.4)
+    xb = aest*(1+0.4)
+    a = _brentq(lambda a: np.log(a) - _special.digamma(a) - s, xa, xb)
+    return a, xbar / a
+
+
+def _brentq(f, xa, xb, xtol=2e-12, maxiter=100):
+    """Port of scipy's C ``brentq`` with ``disp=False``, line for line.
+
+    ``xtol``, ``maxiter`` and the fixed ``rtol = 4 eps`` are
+    ``scipy.optimize.brentq``'s defaults.  Every float operation
+    matches the C source in kind and order (numpy float64 arithmetic, so
+    a zero divisor gives inf or NaN as in C rather than raising), so the
+    root is bit-identical.  Raises ``ValueError`` where scipy does: a NaN
+    function value at any evaluation, or ``f(xa)`` and ``f(xb)`` of the
+    same sign.  When ``maxiter`` runs out the last iterate is returned.
+    """
+
+    def call(x):
+        x = float(x)
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return np.float64(fx)
+
+    rtol = 4 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        xpre = np.float64(xa)
+        xcur = np.float64(xb)
+        xblk = fblk = spre = scur = np.float64(0.0)
+        fpre = call(xpre)
+        fcur = call(xcur)
+        if fpre == 0:
+            return float(xpre)
+        if fcur == 0:
+            return float(xcur)
+        if np.signbit(fpre) == np.signbit(fcur):
+            raise ValueError("f(a) and f(b) must have different signs")
+        for _ in range(maxiter):
+            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+                xblk = xpre
+                fblk = fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre = xcur
+                xcur = xblk
+                xblk = xpre
+
+                fpre = fcur
+                fcur = fblk
+                fblk = fpre
+
+            delta = (xtol + rtol*abs(xcur))/2
+            sbis = (xblk - xcur)/2
+            if fcur == 0 or abs(sbis) < delta:
+                return float(xcur)
+
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur*(xcur - xpre)/(fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur)/(xpre - xcur)
+                    dblk = (fblk - fcur)/(xblk - xcur)
+                    stry = (-fcur*(fblk*dblk - fpre*dpre)
+                            / (dblk*dpre*(fblk - fpre)))
+                bound = 3*abs(sbis) - delta
+                if 2*abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                    # good short step
+                    spre = scur
+                    scur = stry
+                else:
+                    # bisect
+                    spre = sbis
+                    scur = sbis
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+
+            xpre = xcur
+            fpre = fcur
+            if abs(scur) > delta:
+                xcur += scur
+            else:
+                xcur += (delta if sbis > 0 else -delta)
+
+            fcur = call(xcur)
+    return float(xcur)
 
 
 def fit_exponential(samples) -> FitResult:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import stats as _stats
 
 from repro.distributions import Distribution, TransformDistribution, grid_of
 from repro.distributions.evalcache import laplace_eval
@@ -85,6 +84,10 @@ class MG1KQueue:
         total = pmf.probs.sum()
         if total <= 0.0:
             raise QueueingError("service grid lost all mass; check parameters")
+        # Imported here: scipy.stats costs most of a cold start and only
+        # this ablation needs it.
+        from scipy import stats as _stats
+
         times = pmf.times
         j = np.arange(n_max + 1)
         # (n_bins, n_max+1) Poisson pmf table; vectorised via scipy.

@@ -28,9 +28,9 @@ import math
 
 import numpy as np
 
-from repro.simulator.request import Request
+from scipy.special import ndtri as _ndtri
 
-from scipy.stats import norm as _norm
+from repro.simulator.request import Request
 
 __all__ = [
     "MetricsRecorder",
@@ -102,16 +102,20 @@ def sla_percentile(latencies: np.ndarray, sla_seconds: float) -> float:
     return float(np.count_nonzero(latencies <= sla_seconds)) / latencies.size
 
 
-#: Memoised Wilson ``z`` values per confidence level.  ``norm.ppf`` is
-#: pure in its argument and costs microseconds that add up in the hot
-#: windowing loop (one CI per window per phase per sweep point).
+#: Memoised Wilson ``z`` values per confidence level.  The normal
+#: quantile is pure in its argument and costs microseconds that add up
+#: in the hot windowing loop (one CI per window per phase per sweep
+#: point).
 _Z_CACHE: dict[float, float] = {}
 
 
 def _wilson_z(confidence: float) -> float:
     z = _Z_CACHE.get(confidence)
     if z is None:
-        z = float(_norm.ppf(0.5 + confidence / 2.0))
+        # Bit for bit what ``scipy.stats.norm.ppf(q)`` evaluates, without
+        # importing scipy.stats: ``ndtri(q) * 1.0 + 0.0`` on [0, 1], else NaN.
+        q = 0.5 + confidence / 2.0
+        z = float(_ndtri(q) * 1.0 + 0.0) if 0.0 <= q <= 1.0 else math.nan
         _Z_CACHE[confidence] = z
     return z
 

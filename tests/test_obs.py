@@ -397,9 +397,9 @@ class TestWilsonZMemo:
 
         metrics._Z_CACHE.clear()
         calls = []
-        real_ppf = metrics._norm.ppf
+        real_ndtri = metrics._ndtri
         monkeypatch.setattr(
-            metrics._norm, "ppf", lambda q: calls.append(q) or real_ppf(q)
+            metrics, "_ndtri", lambda q: calls.append(q) or real_ndtri(q)
         )
         latencies = np.array([0.05, 0.15, 0.08])
         for _ in range(5):
