@@ -38,19 +38,12 @@ times three engine micro-kernels:
   the ``dispatch_policy="random"`` state asserted bit-identical to the
   default config on every run (the policy layer must not tax or
   perturb the default path);
-* ``batch_dispatch`` -- draining a dense 200k-event lane through the
-  scalar per-event handler vs through the registered batch handler
-  (contiguous numpy segment views), with the two event logs asserted
-  identical inline -- the in-run ratio is the tracked metric;
 * ``fleet``         -- a fleet-scale episode (full: 16 clusters x 4
   devices = 64 devices under ~1M requests; quick: 4 clusters under
   ~50k) run serially and sharded over a process pool
   (:func:`repro.experiments.fleet.run_fleet`), asserting the merged
-  metric state is bit-identical, plus two in-run micro-measures: the
-  lane drain (``schedule_runs`` vs ``schedule_sorted_ops``, must hold
-  >=1.5x) and the batched-vs-scalar admission ratio -- the same serial
-  episode re-run with ``batch_dispatch=False``, its metric state
-  asserted bit-identical to the batched run.
+  metric state is bit-identical, plus an in-run micro-measure: the
+  drain of a 200k-event ``schedule_runs`` lane.
 
 On a single-core host the parallel sweep repetition is skipped (a
 process pool cannot beat serial there; the old <1.0 "speedup" row read
@@ -136,9 +129,6 @@ CHECKED_METRICS = (
     (("kernels", "dispatch", "random_s"), "lower"),
     (("kernels", "fleet", "events_per_sec_serial"), "higher"),
     (("kernels", "fleet", "lane_s"), "lower"),
-    (("kernels", "fleet", "batch_ratio"), "higher"),
-    (("kernels", "batch_dispatch", "batched_s"), "lower"),
-    (("kernels", "batch_dispatch", "batch_speedup"), "higher"),
     (("kernels", "trace_sampling", "off_s"), "lower"),
     (("kernels", "telemetry_overhead", "off_s"), "lower"),
 )
@@ -685,117 +675,31 @@ def bench_diagnostics_overhead(reps: int = TIMING_REPS) -> dict:
 
 
 def bench_lane_drain(n_events: int = 200_000, reps: int = 3) -> dict:
-    """Sorted-run drain: kernel event lane vs per-event heap pops.
+    """Sorted-run drain through a kernel event lane.
 
-    Both paths schedule the same 200k-event pre-sorted arrival array
-    through a noop typed handler and drain it.  ``schedule_sorted_ops``
-    pushes every event as a heap tuple (the bulk-extend fast path) and
-    pays ~log2(n) tuple comparisons per pop; ``schedule_runs`` keeps the
-    run as a cursor over the flat arrays, so consuming an event is an
-    index increment.  Timing covers schedule + drain, so the lane path's
-    avoided tuple construction counts too.
+    Schedules a 200k-event pre-sorted arrival array as one
+    ``schedule_runs`` lane through a noop typed handler and drains it;
+    timing covers schedule + drain.
     """
     from repro.simulator.core import Simulator
 
-    def run(use_lanes: bool) -> float:
-        best = math.inf
-        times = np.arange(n_events) * 1e-6
-        ids = np.arange(n_events)
-        for _ in range(reps):
-            sim = Simulator()
-            sink = [0]
-
-            def noop(a, b):
-                sink[0] += 1
-
-            op = sim.register(noop)
-            t0 = time.perf_counter()
-            if use_lanes:
-                sim.schedule_runs(times, op, ids)
-            else:
-                sim.schedule_sorted_ops(times, op, ids)
-            sim.run_until_idle()
-            best = min(best, time.perf_counter() - t0)
-            assert sink[0] == n_events
-        return best
-
-    legacy_s = run(False)
-    lane_s = run(True)
-    return {
-        "n_events": n_events,
-        "reps": reps,
-        "lane_legacy_s": round(legacy_s, 4),
-        "lane_s": round(lane_s, 4),
-        "lane_speedup": round(legacy_s / lane_s, 2) if lane_s > 0 else None,
-    }
-
-
-def bench_batch_dispatch(n_events: int = 200_000, reps: int = 3) -> dict:
-    """Dense-lane drain: scalar per-event dispatch vs batch segments.
-
-    Drains the same 200k-event sorted arrival lane twice: once with only
-    a scalar handler registered (one Python call, ``now`` update and two
-    log appends per event) and once with a batch handler (the kernel
-    hands whole contiguous segments over as numpy views, which the
-    handler logs per segment; with an empty heap and an infinite
-    horizon the lane drains in a single call).  Both event logs --
-    every ``(time, id)`` in dispatch order -- are asserted identical
-    inline, so the reported speedup is for observationally equivalent
-    work: same values, same order, verified per event.
-    """
-    from repro.simulator.core import Simulator
-
+    best = math.inf
     times = np.arange(n_events) * 1e-6
     ids = np.arange(n_events)
+    for _ in range(reps):
+        sim = Simulator()
+        sink = [0]
 
-    def run(batched: bool):
-        best = math.inf
-        log = None
-        for _ in range(reps):
-            sim = Simulator()
-            t_log, id_log = [], []
-            t_append, id_append = t_log.append, id_log.append
+        def noop(a, b):
+            sink[0] += 1
 
-            def scalar(a, b):
-                t_append(sim.now)
-                id_append(a)
-
-            def batch(ts, a, b):
-                t_append(ts)
-                id_append(a)
-
-            if batched:
-                op = sim.register(
-                    scalar, batch_handler=batch, batch_horizon=math.inf
-                )
-            else:
-                op = sim.register(scalar)
-            t0 = time.perf_counter()
-            sim.schedule_runs(times, op, ids)
-            sim.run_until_idle()
-            best = min(best, time.perf_counter() - t0)
-            if batched:
-                log = (np.concatenate(t_log), np.concatenate(id_log))
-            else:
-                log = (np.asarray(t_log), np.asarray(id_log))
-            assert log[0].size == n_events
-        return best, log
-
-    scalar_s, scalar_log = run(False)
-    batched_s, batched_log = run(True)
-    if not (
-        np.array_equal(batched_log[0], scalar_log[0])
-        and np.array_equal(batched_log[1], scalar_log[1])
-    ):
-        raise AssertionError("batched lane drain diverged from scalar drain")
-    return {
-        "n_events": n_events,
-        "reps": reps,
-        "scalar_s": round(scalar_s, 4),
-        "batched_s": round(batched_s, 4),
-        "batch_speedup": round(scalar_s / batched_s, 2) if batched_s > 0 else None,
-        "bit_identical": True,
-    }
+        op = sim.register(noop)
+        t0 = time.perf_counter()
+        sim.schedule_runs(times, op, ids)
+        sim.run_until_idle()
+        best = min(best, time.perf_counter() - t0)
+        assert sink[0] == n_events
+    return {"n_events": n_events, "reps": reps, "lane_s": round(best, 4)}
 
 
 def bench_redundancy(reps: int = 3) -> dict:
@@ -957,17 +861,8 @@ def bench_fleet(jobs: int = 4, quick: bool = False) -> dict:
     :class:`~repro.simulator.metrics.MetricsRecorder` states are
     bit-identical.  On a single-core host the pooled repetition is
     skipped (same hardware fact as the sweep); the sharded run still
-    executes inline so the identity assertion always holds, and the lane
-    micro-measure (see :func:`bench_lane_drain`) carries the tracked
-    speedup.
-
-    The serial episode is also re-run with ``batch_dispatch=False``
-    (scalar arrival admission) and its metric state asserted
-    bit-identical to the batched run; ``batch_ratio`` is the in-run
-    scalar/batched wall-time ratio, drift-immune like ``lane_speedup``.
-    The fleet mix is dominated by feedback-coupled service events that
-    must stay scalar, so the end-to-end ratio is modest -- the dense-
-    segment upside is tracked by :func:`bench_batch_dispatch`.
+    executes inline so the identity assertion always holds.  The lane
+    micro-measure (see :func:`bench_lane_drain`) rides along.
     """
     from repro.experiments.fleet import FleetScenario, run_fleet
 
@@ -995,10 +890,6 @@ def bench_fleet(jobs: int = 4, quick: bool = False) -> dict:
     )
     sharded_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    scalar = run_fleet(dataclasses.replace(scenario, batch_dispatch=False), seed=0)
-    scalar_serial_s = time.perf_counter() - t0
-
     row = {
         "quick": quick,
         "n_clusters": scenario.n_clusters,
@@ -1009,11 +900,6 @@ def bench_fleet(jobs: int = 4, quick: bool = False) -> dict:
         "serial_s": round(serial_s, 3),
         "events_per_sec_serial": round(serial.events / serial_s, 1),
         "bit_identical": serial.state == sharded.state,
-        "scalar_serial_s": round(scalar_serial_s, 3),
-        "batch_ratio": (
-            round(scalar_serial_s / serial_s, 3) if serial_s > 0 else None
-        ),
-        "batch_bit_identical": serial.state == scalar.state,
     }
     if multi_core:
         row["sharded_s"] = round(sharded_s, 3)
@@ -1037,13 +923,10 @@ def _telemetry_fleet_scenario():
 def bench_trace_sampling(reps: int = 2) -> dict:
     """Deterministic 1% head-sampled tracing on the quick fleet episode.
 
-    Three guarantees are asserted inline, not just timed:
+    Two guarantees are asserted inline, not just timed:
 
     * **state bit-identity** -- the merged recorder state with the
       sampled tracer installed equals the silent run's, byte for byte;
-    * **fast path stays on** -- a ``batch_safe`` sampled tracer keeps
-      ``Cluster.batch_dispatch`` true where a full tracer downgrades it
-      to scalar admission (the downgrade record is checked too);
     * **shard-plan invariance** -- the sampled ``(cluster, rid)`` set
       written by a 1-shard run equals a 2-shard pooled run's.
 
@@ -1056,13 +939,7 @@ def bench_trace_sampling(reps: int = 2) -> dict:
     import tempfile
 
     from repro.experiments.fleet import run_fleet
-    from repro.obs import Tracer
-    from repro.obs.telemetry import (
-        SampledTracer,
-        TelemetryConfig,
-        merge_shard_traces,
-    )
-    from repro.simulator import Cluster, ClusterConfig
+    from repro.obs.telemetry import TelemetryConfig, merge_shard_traces
 
     scenario = _telemetry_fleet_scenario()
     telem = TelemetryConfig(trace_sample_rate=0.01, trace_seed=5)
@@ -1079,18 +956,6 @@ def bench_trace_sampling(reps: int = 2) -> dict:
     on_s, on = timed(dataclasses.replace(scenario, telemetry=telem))
     if off.state != on.state:
         raise AssertionError("sampled tracing changed the merged state")
-
-    # Fast-path capability: sampled tracer keeps batching, a full tracer
-    # records a downgrade.
-    sizes = np.full(64, 4096.0)
-    sampled_cluster = Cluster(
-        ClusterConfig(), sizes, seed=3, tracer=SampledTracer(0.01, seed=5)
-    )
-    full_cluster = Cluster(ClusterConfig(), sizes, seed=3, tracer=Tracer())
-    if not sampled_cluster.batch_dispatch:
-        raise AssertionError("SampledTracer must keep batch dispatch active")
-    if full_cluster.batch_dispatch or not full_cluster.downgrades:
-        raise AssertionError("full tracer must downgrade to scalar admission")
 
     # Shard-plan invariance of the sampled set.
     def sampled_set(shards, jobs):
@@ -1127,7 +992,6 @@ def bench_trace_sampling(reps: int = 2) -> dict:
         "on_s": round(on_s, 4),
         "on_overhead": round(on_s / off_s - 1.0, 4) if off_s > 0 else None,
         "bit_identical": True,
-        "batch_kept": True,
         "shard_invariant": True,
     }
 
@@ -1233,7 +1097,6 @@ KERNELS = {
     "diagnostics_overhead": bench_diagnostics_overhead,
     "redundancy": bench_redundancy,
     "dispatch": bench_dispatch,
-    "batch_dispatch": bench_batch_dispatch,
     "fleet": bench_fleet,
     "trace_sampling": bench_trace_sampling,
     "telemetry_overhead": bench_telemetry_overhead,
@@ -1338,14 +1201,6 @@ def main(argv=None) -> int:
             f"imbalance {dp['power_of_d_imbalance']}, "
             f"random_bit_identical={dp['random_bit_identical']}"
         )
-    if "batch_dispatch" in kernels:
-        bd = kernels["batch_dispatch"]
-        print(
-            f"  batch_dispatch: scalar {bd['scalar_s']}s, "
-            f"batched {bd['batched_s']}s "
-            f"(speedup {bd['batch_speedup']}x, "
-            f"bit_identical={bd['bit_identical']})"
-        )
     if "trace_sampling" in kernels:
         ts = kernels["trace_sampling"]
         print(
@@ -1369,9 +1224,7 @@ def main(argv=None) -> int:
             f"  fleet: {fl['n_devices']} devices, {fl['n_requests']} req, "
             f"serial {fl['serial_s']}s ({fl['events_per_sec_serial']:,} ev/s), "
             f"sharded {sharded}, bit_identical={fl['bit_identical']}, "
-            f"lane speedup {fl['lane_speedup']}x, "
-            f"batch ratio {fl['batch_ratio']}x "
-            f"(batch_bit_identical={fl['batch_bit_identical']})"
+            f"lane drain {fl['lane_s']}s"
         )
 
     result = {

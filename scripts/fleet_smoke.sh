@@ -6,9 +6,6 @@
 # and fails unless the sharded run's merged MetricsRecorder state is
 # bit-identical to the serial run's -- the exactness guarantee that
 # licenses shard-by-cluster execution (docs/PERFORMANCE.md section 7).
-# The serial run uses the default batch-dispatch fast path; a third
-# run with batch_dispatch=False re-checks that batched and scalar
-# admission produce bit-identical state (section 8).
 #
 # Usage: scripts/fleet_smoke.sh
 set -euo pipefail
@@ -16,7 +13,6 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 exec env PYTHONPATH="$REPO_ROOT/src" python - <<'EOF'
-import dataclasses
 import time
 
 from repro.experiments.fleet import FleetScenario, run_fleet
@@ -56,15 +52,4 @@ if sharded.state != serial.state:
 if sharded.per_cluster != serial.per_cluster:
     raise SystemExit("fleet_smoke: FAIL -- per-cluster counters differ")
 print("fleet_smoke: OK -- sharded merge bit-identical to serial")
-
-t0 = time.perf_counter()
-scalar = run_fleet(dataclasses.replace(scenario, batch_dispatch=False), seed=0)
-scalar_s = time.perf_counter() - t0
-print(
-    f"fleet_smoke: scalar   {scalar.n_requests} req, {scalar.events} events "
-    f"in {scalar_s:.2f}s (batch_dispatch=False)"
-)
-if scalar.state != serial.state:
-    raise SystemExit("fleet_smoke: FAIL -- scalar admission != batched state")
-print("fleet_smoke: OK -- batched dispatch bit-identical to scalar")
 EOF

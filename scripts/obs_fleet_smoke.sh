@@ -10,7 +10,7 @@
 #     three runs (telemetry must never perturb the simulation);
 #   * the sampled (cluster, rid) set is identical across shard plans
 #     (head sampling hashes (trace_seed, cluster, rid) only);
-#   * batch dispatch stayed active under the sampled tracer;
+#   * the kernel profiler attributed every event of the drained run;
 #   * `cosmodel top --once` renders the streamed bus with every shard
 #     finished and merged percentiles present.
 #
@@ -98,18 +98,13 @@ print(
     f"({len(sampled_serial)} requests)"
 )
 
-if serial.downgrades:
-    raise SystemExit(
-        "obs_fleet_smoke: FAIL -- sampled tracer downgraded a capability: "
-        f"{serial.downgrades}"
-    )
 profiled = sum(r["events"] for r in serial.profile)
 if profiled != serial.events:
     raise SystemExit(
         f"obs_fleet_smoke: FAIL -- profiler attributed {profiled} of "
         f"{serial.events} events"
     )
-print("obs_fleet_smoke: OK -- batch dispatch kept, profiler accounts drained run")
+print("obs_fleet_smoke: OK -- profiler accounts drained run")
 
 # The streamed bus must reconstruct the fleet through `cosmodel top`.
 proc = subprocess.run(

@@ -473,7 +473,6 @@ def _cmd_fleet(args) -> int:
         warm_accesses=args.warm,
         write_fraction=args.write_fraction,
         latency_store=args.store,
-        batch_dispatch=not args.no_batch,
         telemetry=telem if telem.active else None,
     )
     if args.trace_dir:
@@ -501,8 +500,6 @@ def _cmd_fleet(args) -> int:
                 for q in (0.5, 0.9, 0.99)
             )
         )
-    for d in result.downgrades:
-        print(f"DOWNGRADE {d['capability']}: {d['reason']}")
     if result.profile:
         print()
         print(render_kernel_profile(list(result.profile)))
@@ -538,7 +535,6 @@ def _cmd_fleet(args) -> int:
             extra={
                 "n_shards": result.n_shards,
                 "telemetry": telem.active,
-                "downgrades": list(result.downgrades),
             },
         )
         sidecar = write_manifest(manifest, args.out)
@@ -920,11 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency store mode (default exact)",
     )
     p.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="force scalar admission (disables the batch-dispatch fast path)",
-    )
-    p.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -938,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="RATE",
         help="deterministic trace-sampling rate in [0, 1] "
-        "(head-based, shard-plan-invariant; keeps batch dispatch on)",
+        "(head-based, shard-plan-invariant)",
     )
     p.add_argument(
         "--trace-seed",

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import time
 
 import numpy as np
@@ -114,11 +115,6 @@ class FleetScenario:
     arrival_window: float = 60.0
     latency_store: str = "exact"
     record_disk_samples: bool = False
-    #: Hand contiguous arrival-lane segments to the vectorised batch
-    #: handler (bit-identical to scalar; see core.Simulator.register).
-    #: Off forces scalar admission -- the perf harness uses the pair to
-    #: measure the in-run batched-vs-scalar ratio.
-    batch_dispatch: bool = True
     #: Post-horizon drain budget per cluster (events), a runaway guard.
     max_drain_events: int | None = 200_000_000
     #: Fleet telemetry (sampled tracing / live shard streaming / kernel
@@ -132,12 +128,12 @@ class FleetScenario:
             raise ValueError("need at least one cluster")
         if self.objects_per_cluster < 1:
             raise ValueError("need at least one object per cluster")
-        if self.rate <= 0.0 or self.duration <= 0.0:
-            raise ValueError("rate and duration must be positive")
+        if not (0.0 < self.rate < math.inf and 0.0 < self.duration < math.inf):
+            raise ValueError("rate and duration must be positive and finite")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if self.arrival_window <= 0.0:
-            raise ValueError("arrival_window must be positive")
+        if not 0.0 < self.arrival_window < math.inf:
+            raise ValueError("arrival_window must be positive and finite")
         if self.warm_accesses < 0:
             raise ValueError("warm_accesses must be >= 0")
 
@@ -246,8 +242,6 @@ class FleetResult:
     #: ``telemetry.profile`` was on; wall seconds are *not* part of the
     #: bit-identity contract, only the event counts are).
     profile: tuple[dict, ...] = ()
-    #: Capability-downgrade records collected from every cluster.
-    downgrades: tuple[dict, ...] = ()
     #: Per-cluster sampled-trace files (``telemetry.trace_dir`` runs).
     trace_paths: tuple[str, ...] = ()
 
@@ -321,9 +315,8 @@ def _run_cluster(scenario: FleetScenario, sizes: np.ndarray, task: ClusterTask) 
     Telemetry hooks (``scenario.telemetry``) bolt on here without
     touching the episode's randomness: the sampled tracer is seeded from
     ``(trace_seed, task.index)`` (shard-plan-invariant by construction),
-    the profiler is enabled *before* any event lane is scheduled (lanes
-    bind batch handlers at schedule time), and shard streaming only ever
-    reads the recorder.
+    the profiler is enabled before the first event runs, and shard
+    streaming only ever reads the recorder.
     """
     telem = scenario.telemetry or TelemetryConfig()
     was_enabled = gc.isenabled()
@@ -343,7 +336,6 @@ def _run_cluster(scenario: FleetScenario, sizes: np.ndarray, task: ClusterTask) 
             seed=task.seed,
             record_disk_samples=scenario.record_disk_samples,
             latency_store=scenario.latency_store,
-            batch_dispatch=scenario.batch_dispatch,
             tracer=tracer,
         )
         if telem.profile:
@@ -394,7 +386,6 @@ def _run_cluster(scenario: FleetScenario, sizes: np.ndarray, task: ClusterTask) 
             "events": cluster.sim.events_scheduled,
             "disk_ops": cluster.total_disk_ops,
             "profile": cluster.sim.profile_snapshot() if telem.profile else [],
-            "downgrades": list(cluster.downgrades),
             "trace_path": trace_path,
         }
     finally:
@@ -426,7 +417,6 @@ def _run_shard_tasks(
             for r in results
         ],
         "profile": merge_profile_rows([r["profile"] for r in results]),
-        "downgrades": [d for r in results for d in r["downgrades"]],
         "trace_paths": [
             r["trace_path"] for r in results if r["trace_path"] is not None
         ],
@@ -537,9 +527,6 @@ def run_fleet(
         jobs=n_workers,
         profile=tuple(
             merge_profile_rows([r["profile"] for r in shard_results])
-        ),
-        downgrades=tuple(
-            d for r in shard_results for d in r["downgrades"]
         ),
         trace_paths=tuple(
             p for r in shard_results for p in r["trace_paths"]

@@ -60,7 +60,6 @@ from repro.obs.telemetry import (
     TopView,
     merge_profile_rows,
     merge_shard_traces,
-    record_downgrade,
     render_kernel_profile,
     render_top,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "merge_profile_rows",
     "render_kernel_profile",
     "render_top",
-    "record_downgrade",
     "read_trace",
     "LatencyHistogram",
     "build_manifest",

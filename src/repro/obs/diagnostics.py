@@ -151,7 +151,6 @@ class DiagnosticsSession:
         self.max_cross_points = int(max_cross_points)
         self.dedupe = bool(dedupe)
         self.records: list[InversionRecord] = []
-        self.notes: list[str] = []
         self._seen: set = set()
 
     def should_check(self, key) -> bool:
@@ -182,16 +181,6 @@ class DiagnosticsSession:
     # -- recording ------------------------------------------------------
     def record(self, rec: InversionRecord) -> None:
         self.records.append(rec)
-
-    def note(self, message: str) -> None:
-        """Attach a free-form observation to the session.
-
-        Used for conditions that deserve surfacing but are not inversion
-        records -- e.g. a capability downgrade (tracing forcing scalar
-        admission, see ``repro.obs.telemetry.record_downgrade``).  Notes
-        appear in :meth:`summary` and :meth:`render`.
-        """
-        self.notes.append(str(message))
 
     # -- reduction ------------------------------------------------------
     def __len__(self) -> int:
@@ -231,7 +220,6 @@ class DiagnosticsSession:
                 r.nan_repairs for r in recs if r.nan_repairs >= 0
             ),
             "methods": sorted({r.method for r in recs}),
-            "notes": list(self.notes),
         }
 
     def render(self) -> str:
@@ -254,8 +242,6 @@ class DiagnosticsSession:
                 f"t in [{rec.t_min:.4g}, {rec.t_max:.4g}]: "
                 f"self-error {rec.self_error:.3e}"
             )
-        for note in self.notes:
-            lines.append(f"  NOTE {note}")
         return "\n".join(lines)
 
 

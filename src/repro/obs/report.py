@@ -15,8 +15,7 @@ content:
   summary, the per-stage error-attribution table and the aggregated
   inversion diagnostics;
 * a **kernel profile** (``cosmodel fleet --profile-out``) renders the
-  per-handler wall-time attribution table, scalar vs batched dispatch
-  separately.
+  per-handler wall-time attribution table.
 
 For any other file the reporter looks for a ``<file>.manifest.json``
 sidecar and renders that, so ``cosmodel report results/fig6.txt`` does
@@ -142,16 +141,6 @@ def render_manifest(doc: dict) -> str:
     if doc.get("extra"):
         lines.append("  extra:")
         for key, value in sorted(doc["extra"].items()):
-            if key == "downgrades" and isinstance(value, (list, tuple)):
-                # Capability downgrades deserve one loud line apiece, not
-                # a repr blob: "what fast path did this run lose, why".
-                lines.append(f"    {'downgrades':22s} {len(value)}")
-                for d in value:
-                    lines.append(
-                        f"      DOWNGRADE {d.get('capability', '?')}: "
-                        f"{d.get('reason', '?')}"
-                    )
-                continue
             lines.append(f"    {key:22s} {value}")
     return "\n".join(lines)
 

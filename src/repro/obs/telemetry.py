@@ -14,10 +14,8 @@ splitmix64 finalizer: cheap, well mixed in the low bits, and available
 in identical scalar (:func:`is_sampled`) and vectorised
 (:func:`sample_mask`) forms, ``is_sampled(r) == sample_mask([r])[0]``
 for every ``r``.  :class:`SampledTracer` applies the decision *inside*
-the tracer, so none of the simulator's hook sites change; it declares
-``batch_safe = True`` so the cluster keeps the batch-dispatch fast path
-active (unsampled requests flow through the vectorised admission
-segments; only sampled requests' spans are materialised).
+the tracer, so none of the simulator's hook sites change; only sampled
+requests' spans are materialised.
 
 **Live shard streaming.**  :class:`ShardStreamer` periodically flushes
 compact metric snapshots -- event counts, events/s, per-family
@@ -33,10 +31,10 @@ progress, merged p50/p90/p99-so-far, and straggler flags.
 
 **Kernel time profiler.**  ``Simulator.enable_profile()`` wraps the
 dispatch table in timing closures (per-opcode wall seconds + event
-counts, scalar and batched segments separately); this module merges the
-per-cluster attribution rows (:func:`merge_profile_rows`) and renders
-them (:func:`render_kernel_profile`) for ``cosmodel report`` and the
-run manifests.
+counts); this module merges the per-cluster attribution rows
+(:func:`merge_profile_rows`) and renders them
+(:func:`render_kernel_profile`) for ``cosmodel report`` and the run
+manifests.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "merge_profile_rows",
     "profile_doc",
     "render_kernel_profile",
-    "record_downgrade",
     "render_top",
 ]
 
@@ -129,13 +126,11 @@ def sample_mask(rids, salt: int, threshold: int) -> np.ndarray:
 
 class SampledTracer(Tracer):
     """A :class:`Tracer` that keeps only deterministically-sampled
-    requests, and is safe to combine with batch dispatch.
+    requests.
 
     Every hook receives the request id, so the gate lives entirely in
     here -- the simulator's emission sites are byte-for-byte those of a
-    plain tracer.  ``batch_safe = True`` tells the cluster that this
-    tracer needs no scalar-admission downgrade: unsampled requests ride
-    the vectorised fast path and their hook calls return after one
+    plain tracer.  Hook calls for unsampled requests return after one
     cached-decision check.  Decisions are precomputed in vectorised
     blocks (request ids are sequential per cluster), so the steady-state
     per-call cost is an attribute compare plus a list index.
@@ -146,9 +141,6 @@ class SampledTracer(Tracer):
 
     __slots__ = ("rate", "salt", "threshold", "_decisions", "_last_rid",
                  "_last_on")
-
-    #: Cluster capability flag: admission batching stays on.
-    batch_safe = True
 
     _BLOCK = 8192
 
@@ -220,7 +212,7 @@ class SampledTracer(Tracer):
 
 
 # ----------------------------------------------------------------------
-# configuration + capability downgrades
+# configuration
 # ----------------------------------------------------------------------
 
 
@@ -254,25 +246,6 @@ class TelemetryConfig:
     @property
     def active(self) -> bool:
         return self.tracing or self.streaming or self.profile
-
-
-def record_downgrade(capability: str, reason: str, *, context=None) -> dict:
-    """Record a silent capability downgrade loudly.
-
-    Returns the downgrade record (for run manifests) and notes it on
-    the ambient :class:`~repro.obs.diagnostics.DiagnosticsSession`, if
-    one is active -- so "tracing turned off the fast path" shows up in
-    the diagnostics summary instead of only in a timing regression.
-    """
-    rec = {"capability": capability, "reason": reason}
-    if context:
-        rec["context"] = context
-    from repro.obs.diagnostics import current_session
-
-    session = current_session()
-    if session is not None:
-        session.note(f"capability downgrade: {capability} -- {reason}")
-    return rec
 
 
 # ----------------------------------------------------------------------
@@ -621,31 +594,18 @@ def merge_shard_traces(trace_dir, out_path=None) -> list[dict]:
 
 KERNEL_PROFILE_KIND = "cosmodel-kernel-profile"
 
-_PROFILE_SUM_KEYS = (
-    "scalar_calls",
-    "scalar_s",
-    "batch_segments",
-    "batch_events",
-    "batch_s",
-)
-
 
 def merge_profile_rows(row_lists) -> list[dict]:
-    """Sum per-handler attribution rows across clusters/shards."""
+    """Sum per-handler ``{name, events, total_s}`` rows across clusters/shards."""
     by_name: dict[str, dict] = {}
     for rows in row_lists:
         for row in rows or ():
             acc = by_name.setdefault(
-                row["name"],
-                {"name": row["name"], **{k: 0 for k in _PROFILE_SUM_KEYS}},
+                row["name"], {"name": row["name"], "events": 0, "total_s": 0.0}
             )
-            for key in _PROFILE_SUM_KEYS:
-                acc[key] += row.get(key, 0)
-    out = []
-    for row in by_name.values():
-        row["events"] = row["scalar_calls"] + row["batch_events"]
-        row["total_s"] = row["scalar_s"] + row["batch_s"]
-        out.append(row)
+            acc["events"] += row["events"]
+            acc["total_s"] += row["total_s"]
+    out = list(by_name.values())
     out.sort(key=lambda r: (-r["total_s"], r["name"]))
     return out
 
@@ -674,24 +634,18 @@ def render_kernel_profile(doc_or_rows) -> str:
         rows = list(doc_or_rows)
     total = sum(r.get("total_s", 0.0) for r in rows) or float("nan")
     lines = [
-        "kernel time profile (per-handler wall seconds; scalar vs "
-        "batched dispatch)",
-        f"{'handler':<40} {'events':>10} {'scalar_s':>9} {'batch_ev':>10} "
-        f"{'batch_s':>9} {'total_s':>9} {'share':>7}",
+        "kernel time profile (per-handler wall seconds)",
+        f"{'handler':<40} {'events':>10} {'total_s':>9} {'share':>7}",
     ]
     for row in rows:
         total_s = row.get("total_s", 0.0)
         share = total_s / total if total == total and total > 0 else 0.0
         lines.append(
             f"{row['name']:<40} {row.get('events', 0):>10} "
-            f"{row.get('scalar_s', 0.0):>9.3f} "
-            f"{row.get('batch_events', 0):>10} "
-            f"{row.get('batch_s', 0.0):>9.3f} "
             f"{total_s:>9.3f} {100.0 * share:>6.1f}%"
         )
     if rows:
-        lines.append(f"{'total':<40} {'':>10} {'':>9} {'':>10} {'':>9} "
-                     f"{total:>9.3f} {'100.0%':>7}")
+        lines.append(f"{'total':<40} {'':>10} {total:>9.3f} {'100.0%':>7}")
     else:
         lines.append("(no profiled events)")
     return "\n".join(lines)

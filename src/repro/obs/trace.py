@@ -16,9 +16,7 @@ Record schema (keys are short because traces get large)::
 Kinds emitted by the wired simulator:
 
 ``admit``      request admitted at a frontend (marker, ``t0==t1``);
-               ``fid``.  Emitted from both the scalar and the batched
-               admission path, so sampled traces see every admission
-               regardless of which fast path carried it
+               ``fid``
 ``frontend``   frontend queueing + parse (``t0`` = arrival);  ``fid``
 ``accept``     connection pool wait, connect() -> accept();   ``dev``
 ``disk``       one disk operation;  ``dev``, ``op`` (index/meta/data/
@@ -75,7 +73,7 @@ class Tracer:
     # emission hooks (called from the simulator layers)
     # ------------------------------------------------------------------
     def admit_span(self, rid: int, fid: int, t: float) -> None:
-        """Request admission at a frontend (batched or scalar path)."""
+        """Request admission at a frontend."""
         self._emit(
             {"k": "admit", "rid": rid, "fid": fid, "t0": t, "t1": t,
              "ph": self.phase}

@@ -183,7 +183,6 @@ class Cluster:
         ring: HashRing | None = None,
         tracer=None,
         latency_store: str = "exact",
-        batch_dispatch: bool = True,
     ) -> None:
         self.config = config
         self.object_sizes = np.asarray(object_sizes, dtype=np.int64)
@@ -357,66 +356,7 @@ class Cluster:
         self._next_rid = 0
         self.fault_schedule = None
         # Typed arrival events: payload is (object_id, is_write-or-None).
-        # With a Degenerate frontend parse the admission handler's only
-        # scheduled event is the parse completion at t + parse_const, so
-        # parse_const is a valid batch horizon and contiguous arrival
-        # segments may be admitted vectorised (_arrival_batch).  Any
-        # sampling parse distribution falls back to scalar admission, as
-        # does a full tracer -- but a tracer that declares
-        # ``batch_safe = True`` (repro.obs.telemetry.SampledTracer)
-        # keeps the fast path: its hooks gate per request id, so the
-        # batched admission loop emits exactly the spans the scalar loop
-        # would.  Fault boundaries need no gate here because fault hooks
-        # are heap events, which bound every segment.  batch_min keeps
-        # near-empty segments scalar: _arrival_batch's fancy indexing
-        # and array round-trips only amortise past a handful of
-        # arrivals, and in feedback-heavy steady state segments rarely
-        # grow that large anyway.
-        #
-        # Every fast path a hook disables is recorded in ``downgrades``
-        # (and noted on the ambient DiagnosticsSession), so "tracing
-        # quietly turned batching off" is visible in run manifests
-        # instead of only as a timing regression.
-        parse_const = (
-            float(config.parse_fe.value)
-            if isinstance(config.parse_fe, Degenerate)
-            else None
-        )
-        batch_safe = tracer is None or getattr(tracer, "batch_safe", False)
-        self.batch_dispatch = bool(
-            batch_dispatch and batch_safe and parse_const is not None
-        )
-        self.downgrades: list[dict] = []
-        if batch_dispatch and not self.batch_dispatch:
-            from repro.obs.telemetry import record_downgrade
-
-            if not batch_safe:
-                self.downgrades.append(
-                    record_downgrade(
-                        "batch_dispatch",
-                        "full tracer forces scalar admission (a "
-                        "batch_safe sampling tracer keeps the fast path)",
-                        context={"tracer": type(tracer).__name__},
-                    )
-                )
-            if parse_const is None:
-                self.downgrades.append(
-                    record_downgrade(
-                        "batch_dispatch",
-                        "non-degenerate frontend parse distribution has "
-                        "no constant batch horizon",
-                        context={"parse_fe": type(config.parse_fe).__name__},
-                    )
-                )
-        if self.batch_dispatch:
-            self._arrival_op = self.sim.register(
-                self._arrival,
-                batch_handler=self._arrival_batch,
-                batch_horizon=parse_const,
-                batch_min=8,
-            )
-        else:
-            self._arrival_op = self.sim.register(self._arrival)
+        self._arrival_op = self.sim.register(self._arrival)
 
     # ------------------------------------------------------------------
     # fault injection
@@ -479,34 +419,6 @@ class Cluster:
     def _arrival(self, object_id, is_write) -> None:
         """Typed-event handler for pre-scheduled open-loop arrivals."""
         self.dispatch(object_id, is_write is True)
-
-    def _arrival_batch(self, times, object_ids, writes) -> None:
-        """Batch handler for a contiguous arrival-lane segment.
-
-        Mirrors ``_arrival`` event for event -- same request ids, same
-        load-balancer draws (:meth:`BufferedIntegers.take` consumes the
-        stream identically), same admission order -- but hoists the
-        array conversions and RNG draws out of the per-event path.
-        ``writes`` is either the shared ``None`` payload or the boolean
-        slice matching ``times``.
-        """
-        frontends = self.frontends
-        sizes = self.object_sizes[object_ids].tolist()
-        ids = object_ids.tolist()
-        ts = times.tolist()
-        picks = self._lb.take(len(ids))
-        chunk = self.config.chunk_bytes
-        rid = self._next_rid
-        if writes is None:
-            for i, obj in enumerate(ids):
-                req = Request(rid + i, obj, sizes[i], chunk)
-                frontends[picks[i]].submit_at(req, ts[i])
-        else:
-            wl = writes.tolist()
-            for i, obj in enumerate(ids):
-                req = Request(rid + i, obj, sizes[i], chunk, is_write=wl[i])
-                frontends[picks[i]].submit_at(req, ts[i])
-        self._next_rid = rid + len(ids)
 
     def _traced_complete(self, req: Request) -> None:
         """``on_complete`` shim when tracing is on: emit the request span

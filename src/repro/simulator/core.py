@@ -12,11 +12,12 @@ fidelity of the queueing layers depends on.  ``opcode`` indexes a flat
 handler table registered at build time (:meth:`Simulator.register`); the
 run loop dispatches ``handlers[opcode](a, b)`` with no per-event tuple
 unpacking of argument lists and no closure allocation at the schedule
-site.  Opcode 0 is the legacy dynamic-call handler, so the
-``schedule(delay, fn, *args)`` API keeps working unchanged for cold
-paths (fault hooks, tests, closed-loop drivers).
+site.  Opcode 0 is the dynamic-call handler, so the
+``schedule(delay, fn, *args)`` API serves cold paths (fault hooks,
+tests, closed-loop drivers) without a registration step.
 
-Two further hot-loop mechanics, both exactly order-preserving:
+One run loop (:meth:`Simulator._run`) serves both :meth:`run_until` and
+:meth:`run_until_idle`, with two exactly order-preserving mechanics:
 
 * **Fused pop-then-push** (``heapreplace``): the run loop executes the
   minimum event *without popping it first*.  The first event scheduled
@@ -27,35 +28,17 @@ Two further hot-loop mechanics, both exactly order-preserving:
   so the in-flight event remains the strict heap minimum until it is
   replaced.  The ubiquitous pop-then-push pattern (disk op completion
   scheduling the next op's completion) therefore costs one sift.
-* **Bulk sorted scheduling** (:meth:`schedule_sorted_ops`): an open-loop
-  arrival trace is non-decreasing in time, and a non-decreasing
-  ``(time, seq)`` list *is* a valid binary heap, so when the heap is
-  empty the events are appended directly without per-event sifting.
-* **Event lanes** (:meth:`schedule_runs`): the generalisation of the
-  bulk path.  A sorted run is kept *outside* the heap as a cursor over
-  flat time/payload arrays (a "lane") that reserved its block of
-  sequence numbers at schedule time.  The run loop takes whichever of
-  the lane head and the heap root has the smaller ``(time, seq)`` key,
-  so the event order is exactly what per-event pushes would have
-  produced -- but a lane event costs one cursor increment instead of an
-  O(log n) heap sift, and scheduling the run costs one bulk array
-  conversion instead of n tuple allocations.  Both bulk entry points
-  accept numpy arrays directly (validated vectorised); lane events
-  dispatch outside the ``heapreplace`` fusion (their handler's first
-  schedule is a plain push, which preserves the total order).
-
-A third mechanic builds on the lanes: **batch dispatch**.  A handler
-registered with a ``batch_handler`` (see :meth:`Simulator.register`) can
-consume a whole contiguous lane segment in one call -- numpy views of
-``(times, a, b)`` -- instead of one scalar call per event.  The segment
-is chosen so that processing it scalar, event by event, could not have
-interleaved any other event, so the batched call is *bit-identical by
-construction* (see :meth:`Simulator.register` for the exact contract).
-Whenever that cannot be guaranteed -- no batch handler, a lane built
-from plain lists, a heap event (fault boundary, closed-loop feedback)
-or another lane's head inside the candidate segment, or a handler
-horizon exceeded -- the loop falls back to the scalar path for exactly
-the events concerned.
+* **Event lanes** (:meth:`schedule_runs`): a sorted run -- an open-loop
+  arrival trace -- is kept *outside* the heap as a cursor over flat
+  time/payload lists (a "lane") that reserved its block of sequence
+  numbers at schedule time.  The run loop takes whichever of the lane
+  head and the heap root has the smaller ``(time, seq)`` key, so the
+  event order is exactly what per-event pushes would have produced --
+  but a lane event costs one cursor increment instead of an O(log n)
+  heap sift, and scheduling the run costs one bulk list conversion
+  instead of n tuple allocations.  Lane events dispatch one at a time,
+  outside the ``heapreplace`` fusion (their handler's first schedule is
+  a plain push, which preserves the total order).
 
 The kernel is not re-entrant: handlers must not call ``run_until`` /
 ``run_until_idle`` recursively (nothing in the simulator does).
@@ -64,7 +47,7 @@ The kernel is not re-entrant: handlers must not call ``run_until`` /
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from itertools import repeat
 from math import inf as _INF
 from time import perf_counter
 from typing import Callable
@@ -87,39 +70,9 @@ class _Lane:
     pushed individually.
     """
 
-    __slots__ = (
-        "times",
-        "a",
-        "b",
-        "b_seq",
-        "op",
-        "seq0",
-        "cursor",
-        "n",
-        "t_np",
-        "a_np",
-        "b_np",
-        "batchable",
-        "bh",
-        "horizon",
-        "bmin",
-    )
+    __slots__ = ("times", "a", "b", "b_seq", "op", "seq0", "cursor", "n")
 
-    def __init__(
-        self,
-        times,
-        op,
-        a,
-        b,
-        b_seq,
-        seq0,
-        t_np=None,
-        a_np=None,
-        b_np=None,
-        bh=None,
-        horizon=0.0,
-        bmin=2,
-    ) -> None:
+    def __init__(self, times, op, a, b, b_seq, seq0) -> None:
         self.times = times
         self.op = op
         self.a = a
@@ -128,24 +81,6 @@ class _Lane:
         self.seq0 = seq0
         self.cursor = 0
         self.n = len(times)
-        # Original numpy arrays when the lane was scheduled from numpy:
-        # the batch fast path hands out zero-copy views of these.  Lanes
-        # built from plain sequences have no arrays and always dispatch
-        # scalar.
-        self.t_np = t_np
-        self.a_np = a_np
-        self.b_np = b_np
-        self.batchable = (
-            t_np is not None
-            and a_np is not None
-            and (b_seq is None or b_np is not None)
-        )
-        # Batch handler and horizon bound at schedule time (a registered
-        # opcode's batch handler cannot change afterwards), so the run
-        # loops' can-this-batch pre-check is pure attribute loads.
-        self.bh = bh if self.batchable else None
-        self.horizon = horizon
-        self.bmin = bmin
 
 
 class Simulator:
@@ -156,9 +91,6 @@ class Simulator:
         "_heap",
         "_seq",
         "_handlers",
-        "_batch_handlers",
-        "_batch_horizons",
-        "_batch_mins",
         "_live",
         "_lanes",
         "_names",
@@ -169,82 +101,32 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, object, object]] = []
         self._seq: int = 0
-        # Opcode 0: legacy dynamic call -- a == fn, b == args tuple.
+        # Opcode 0: dynamic call -- a == fn, b == args tuple.
         self._handlers: list[Callable] = [self._invoke]
-        # Per-opcode batch handler (or None) and its time horizon; see
-        # ``register``.  Parallel to ``_handlers``.
-        self._batch_handlers: list[Callable | None] = [None]
-        self._batch_horizons: list[float] = [0.0]
-        self._batch_mins: list[int] = [2]
         # True while the run loop is executing the (unpopped) heap root.
         self._live = False
         # Active event lanes (schedule_runs).  The list object is stable
-        # for the simulator's lifetime: the run loops bind it once and
-        # observe appends/removals through mutation.
+        # for the simulator's lifetime: the run loop binds it once and
+        # observes appends/removals through mutation.
         self._lanes: list[_Lane] = []
         # Per-opcode handler names (for the profiler's attribution
-        # table) and the opt-in profile state (None = profiling off,
-        # the hot loops are byte-for-byte what they were).
+        # table) and the opt-in profile cells (None = profiling off and
+        # the handler table unwrapped).
         self._names: list[str] = ["<dynamic>"]
-        self._prof: dict | None = None
+        self._prof: list[list] | None = None
 
     @staticmethod
     def _invoke(fn, args) -> None:
         fn(*args)
 
-    def register(
-        self,
-        handler: Callable,
-        batch_handler: Callable | None = None,
-        batch_horizon: float = 0.0,
-        batch_min: int = 2,
-    ) -> int:
+    def register(self, handler: Callable) -> int:
         """Register ``handler(a, b)`` in the dispatch table; returns its opcode.
 
         Components register their bound methods once at build time and
         schedule events by opcode thereafter, so the run loop performs a
         single list index instead of constructing and unpacking per-event
         argument tuples.
-
-        ``batch_handler(times, a, b)``, when given, is the vectorised
-        sibling: the run loop may hand it a contiguous lane segment as
-        numpy views -- ``times`` and ``a`` sliced from the arrays passed
-        to :meth:`schedule_runs`, ``b`` either the shared scalar payload
-        or the matching ``b_seq`` slice.  It must be observationally
-        identical to calling ``handler(a[i], b[i])`` in order with
-        ``self.now`` stepped to each ``times[i]``, including RNG-stream
-        consumption and the order of any events it schedules (use the
-        ``*_at`` scheduling forms with per-event absolute times; ``now``
-        rests at ``times[-1]`` during the call).
-
-        ``batch_horizon`` is the handler's promise that every event it
-        schedules while processing an event at time ``t`` carries time
-        ``>= t + batch_horizon``.  The run loop only batches a segment
-        whose last event lies within ``times[0] + batch_horizon``: any
-        event scheduled by a segment member then lands at or after the
-        segment's end, and -- having a strictly larger sequence number
-        than the lane's reserved block -- would have been processed
-        after the whole segment in scalar mode too.  Combined with the
-        strict heap-root / other-lane bounds applied by the segment
-        finder, batched execution is bit-identical to scalar execution
-        by construction.  A horizon of 0.0 restricts batches to
-        equal-time runs; ``math.inf`` is allowed for handlers that
-        schedule nothing.
-
-        ``batch_min`` is the smallest segment worth handing to the batch
-        handler; shorter segments dispatch scalar.  It is a pure
-        performance knob -- results are bit-identical either way -- for
-        handlers whose vectorised form has per-call overhead (array
-        slicing, fancy indexing) that only amortises past a few events.
         """
-        if batch_handler is not None and not batch_horizon >= 0.0:
-            raise SimulationError(
-                f"batch_horizon must be >= 0, got {batch_horizon}"
-            )
-        if batch_handler is not None and batch_min < 2:
-            raise SimulationError(
-                f"batch_min must be >= 2, got {batch_min}"
-            )
         self._names.append(
             getattr(handler, "__qualname__", None) or repr(handler)
         )
@@ -252,25 +134,16 @@ class Simulator:
             # Profiling already on: wrap late registrations the same way
             # enable_profile wrapped the table it found.
             cell = [0, 0.0]
-            self._prof["scalar"].append(cell)
-            handler = self._wrap_scalar(handler, cell)
-            bcell = [0, 0, 0.0]
-            self._prof["batch"].append(bcell)
-            if batch_handler is not None:
-                batch_handler = self._wrap_batch(batch_handler, bcell)
+            self._prof.append(cell)
+            handler = self._wrap(handler, cell)
         self._handlers.append(handler)
-        self._batch_handlers.append(batch_handler)
-        self._batch_horizons.append(
-            float(batch_horizon) if batch_handler is not None else 0.0
-        )
-        self._batch_mins.append(int(batch_min))
         return len(self._handlers) - 1
 
     # ------------------------------------------------------------------
     # kernel time profiler (opt-in)
     # ------------------------------------------------------------------
     @staticmethod
-    def _wrap_scalar(fn: Callable, cell: list) -> Callable:
+    def _wrap(fn: Callable, cell: list) -> Callable:
         def timed(a, b, _fn=fn, _cell=cell, _pc=perf_counter):
             t0 = _pc()
             _fn(a, b)
@@ -279,28 +152,14 @@ class Simulator:
         timed.__wrapped__ = fn
         return timed
 
-    @staticmethod
-    def _wrap_batch(bh: Callable, cell: list) -> Callable:
-        def timed(ts, aa, bb, _bh=bh, _cell=cell, _pc=perf_counter):
-            t0 = _pc()
-            _bh(ts, aa, bb)
-            _cell[0] += 1
-            _cell[1] += len(ts)
-            _cell[2] += _pc() - t0
-        timed.__wrapped__ = bh
-        return timed
-
     def enable_profile(self) -> "Simulator":
         """Switch on per-opcode wall-time attribution (idempotent).
 
         Every entry of the dispatch table is replaced in place by a
         timing wrapper (``perf_counter`` delta + event count), so the
-        run loops stay untouched: profiling costs nothing when off and
-        two clock reads per event when on.  Scalar and batched dispatch
-        are accounted separately per opcode.  Because event lanes bind
-        their batch handler at :meth:`schedule_runs` time, call this
-        *before* scheduling any lane whose segments should be profiled;
-        handlers registered after enabling are wrapped on registration.
+        run loop stays untouched: profiling costs nothing when off and
+        two clock reads per event when on.  Handlers registered after
+        enabling are wrapped on registration.
 
         Wrappers change no simulated quantity -- event order, RNG
         consumption and handler effects are exactly those of the bare
@@ -309,63 +168,34 @@ class Simulator:
         """
         if self._prof is not None:
             return self
-        scalar_cells: list[list] = []
-        batch_cells: list[list] = []
+        cells: list[list] = []
         for op, fn in enumerate(self._handlers):
             cell = [0, 0.0]
-            scalar_cells.append(cell)
-            self._handlers[op] = self._wrap_scalar(fn, cell)
-        for op, bh in enumerate(self._batch_handlers):
-            bcell = [0, 0, 0.0]
-            batch_cells.append(bcell)
-            if bh is not None:
-                self._batch_handlers[op] = self._wrap_batch(bh, bcell)
-        self._prof = {"scalar": scalar_cells, "batch": batch_cells}
+            cells.append(cell)
+            self._handlers[op] = self._wrap(fn, cell)
+        self._prof = cells
         return self
 
-    @property
-    def profiling(self) -> bool:
-        return self._prof is not None
-
     def profile_snapshot(self) -> list[dict]:
-        """JSON-ready attribution rows, aggregated by handler name.
+        """JSON-ready ``{name, events, total_s}`` rows, one per handler name.
 
-        One row per distinct handler ``__qualname__`` (per-instance
-        registrations -- e.g. one opcode per frontend -- collapse into
-        one row), sorted by total wall seconds descending.  Empty list
-        when profiling is off or no event has run yet.
+        Per-instance registrations sharing a ``__qualname__`` (e.g. one
+        opcode per frontend) collapse into one row; rows are sorted by
+        total wall seconds descending.  Empty list when profiling is off
+        or no event has run yet.
         """
         if self._prof is None:
             return []
         by_name: dict[str, dict] = {}
-        scalar = self._prof["scalar"]
-        batch = self._prof["batch"]
-        for op, name in enumerate(self._names):
-            sc = scalar[op] if op < len(scalar) else [0, 0.0]
-            bc = batch[op] if op < len(batch) else [0, 0, 0.0]
-            if sc[0] == 0 and bc[1] == 0:
+        for name, (events, secs) in zip(self._names, self._prof):
+            if events == 0:
                 continue
             row = by_name.setdefault(
-                name,
-                {
-                    "name": name,
-                    "scalar_calls": 0,
-                    "scalar_s": 0.0,
-                    "batch_segments": 0,
-                    "batch_events": 0,
-                    "batch_s": 0.0,
-                },
+                name, {"name": name, "events": 0, "total_s": 0.0}
             )
-            row["scalar_calls"] += sc[0]
-            row["scalar_s"] += sc[1]
-            row["batch_segments"] += bc[0]
-            row["batch_events"] += bc[1]
-            row["batch_s"] += bc[2]
-        rows = []
-        for row in by_name.values():
-            row["events"] = row["scalar_calls"] + row["batch_events"]
-            row["total_s"] = row["scalar_s"] + row["batch_s"]
-            rows.append(row)
+            row["events"] += events
+            row["total_s"] += secs
+        rows = list(by_name.values())
         rows.sort(key=lambda r: (-r["total_s"], r["name"]))
         return rows
 
@@ -466,102 +296,42 @@ class Simulator:
             prev = t
         return out
 
-    def schedule_sorted_ops(self, times, op: int, a_seq, b=None) -> None:
-        """Schedule one ``op`` event per ``(time, a)`` pair, ``b`` shared.
-
-        ``times`` must be non-decreasing (validated; a violation raises
-        :class:`SimulationError` with nothing scheduled).  ``times`` and
-        ``a_seq`` may be numpy arrays -- they are converted in one bulk
-        operation, not per event.  When the heap is empty the events are
-        appended directly -- a sorted ``(time, seq)`` run is already a
-        valid binary heap -- skipping the per-event sift entirely;
-        otherwise each event is pushed.
-        """
-        heap = self._heap
-        times = self._sorted_times_list(times)
-        if isinstance(a_seq, np.ndarray):
-            a_seq = a_seq.tolist()
-        seq = self._seq
-        events = []
-        append = events.append
-        for t, a in zip(times, a_seq):
-            seq += 1
-            append((t, seq, op, a, b))
-        if heap:
-            push = heapq.heappush
-            for event in events:
-                push(heap, event)
-        else:
-            heap.extend(events)
-        self._seq = seq
-
     def schedule_runs(self, times, op: int, a_seq, b=None, b_seq=None) -> None:
         """Schedule a non-decreasing run of ``op`` events as an event lane.
 
-        Semantically identical to :meth:`schedule_sorted_ops` (one event
-        per ``(time, a)`` pair; the per-event second payload slot is
-        ``b_seq[i]`` when ``b_seq`` is given, else the shared ``b``) but
-        the run is kept as a cursor over flat arrays instead of heap
+        Semantically identical to one :meth:`schedule_op_at` per
+        ``(time, a)`` pair (the per-event second payload slot is
+        ``b_seq[i]`` when ``b_seq`` is given, else the shared ``b``), but
+        the run is kept as a cursor over flat lists instead of heap
         tuples: the block of sequence numbers is reserved up front, the
         run loop merges the lane head against the heap root by
         ``(time, seq)``, and consuming an event is a cursor increment.
+        ``times`` must be non-decreasing (validated; a violation raises
+        :class:`SimulationError` with nothing scheduled).
         ``times``/``a_seq``/``b_seq`` may be numpy arrays (bulk-converted)
         or plain sequences.  Lanes survive across ``run_until`` calls
         until drained.
-
-        When all given inputs are numpy arrays the lane additionally
-        keeps them, and the run loop may hand contiguous segments to the
-        opcode's batch handler (if one was registered) as zero-copy
-        views; lanes built from plain sequences always dispatch scalar.
         """
-        t_np = None
-        if isinstance(times, np.ndarray):
-            t_np = times if times.dtype == np.float64 else times.astype(np.float64)
-            times = t_np
         times = self._sorted_times_list(times)
         n = len(times)
-        a_np = None
-        if isinstance(a_seq, np.ndarray):
-            a_np = a_seq
-            a_seq = a_seq.tolist()
-        else:
-            a_seq = list(a_seq)
+        a_seq = a_seq.tolist() if isinstance(a_seq, np.ndarray) else list(a_seq)
         if len(a_seq) != n:
             raise SimulationError(
                 f"a_seq length {len(a_seq)} != times length {n}"
             )
-        b_np = None
         if b_seq is not None:
-            if isinstance(b_seq, np.ndarray):
-                b_np = b_seq
-                b_seq = b_seq.tolist()
-            else:
-                b_seq = list(b_seq)
+            b_seq = b_seq.tolist() if isinstance(b_seq, np.ndarray) else list(b_seq)
             if len(b_seq) != n:
                 raise SimulationError(
                     f"b_seq length {len(b_seq)} != times length {n}"
                 )
         if n == 0:
             return
-        lane = _Lane(
-            times,
-            op,
-            a_seq,
-            b,
-            b_seq,
-            self._seq + 1,
-            t_np,
-            a_np,
-            b_np,
-            self._batch_handlers[op],
-            self._batch_horizons[op],
-            self._batch_mins[op],
-        )
+        self._lanes.append(_Lane(times, op, a_seq, b, b_seq, self._seq + 1))
         self._seq += n
-        self._lanes.append(lane)
 
     # ------------------------------------------------------------------
-    # run loops
+    # run loop
     # ------------------------------------------------------------------
     def _min_lane(self) -> "_Lane":
         """The active lane with the smallest head ``(time, seq)`` key.
@@ -582,62 +352,33 @@ class Simulator:
                     lane, bt, bs = ln, t, ln.seq0 + c
         return lane
 
-    def _segment_end(self, lane: "_Lane", cur: int, lt: float, t_end: float) -> int:
-        """End index (exclusive) of the batchable segment headed at ``cur``.
+    def _run(self, t_end: float, max_events: int | None) -> int:
+        """Process events with ``time <= t_end`` in ``(time, seq)`` order.
 
-        The segment is maximal subject to three bounds, each of which
-        guarantees scalar execution could not have interleaved a foreign
-        event (see :meth:`register` for the soundness argument):
-
-        * inclusive time cap ``min(lt + horizon, t_end)`` -- the handler
-          horizon keeps self-scheduled events at or beyond the segment
-          end, and ``t_end`` is the run window;
-        * strictly earlier than the heap root -- equal-time events fall
-          back to the scalar path's exact ``(time, seq)`` tie-break;
-        * strictly earlier than every other lane's head, likewise.
-
-        Returns ``cur + 1`` (a scalar-sized segment) whenever batching
-        buys nothing.
-        """
-        cap = lt + lane.horizon
-        if t_end < cap:
-            cap = t_end
-        times = lane.times
-        nxt = cur + 1
-        if nxt >= lane.n or times[nxt] > cap:
-            return nxt
-        heap = self._heap
-        if heap:
-            rt = heap[0][0]
-            if rt <= cap:
-                if times[nxt] >= rt:
-                    return nxt
-                end = bisect_left(times, rt, nxt, lane.n)
-            else:
-                end = bisect_right(times, cap, nxt, lane.n)
-        else:
-            end = bisect_right(times, cap, nxt, lane.n)
-        lanes = self._lanes
-        if len(lanes) > 1:
-            for ln in lanes:
-                if ln is not lane:
-                    e = bisect_left(times, ln.times[ln.cursor], nxt, end)
-                    if e < end:
-                        end = e
-        return end
-
-    def run_until(self, t_end: float) -> None:
-        """Process events up to and including ``t_end``.
-
-        The clock is left at ``t_end`` even if the queue drains earlier,
-        so measurement windows have well-defined widths.
+        Returns the number of events processed.  ``max_events`` bounds
+        the *budget*: the run raises :class:`SimulationError` only if the
+        budget is exhausted while events are still pending, so a run of
+        exactly ``max_events`` events completes cleanly.  An event whose
+        handler raises is consumed before the exception propagates, so a
+        resumed run does not replay it.
         """
         heap = self._heap
         handlers = self._handlers
         lanes = self._lanes
         pop = heapq.heappop
+        # One loop step per event, drawn from ``repeat`` -- the cheapest
+        # bounded iterator, with no per-step int object.  The count is
+        # recovered from the seq counter and the pending set instead: an
+        # event leaves the pending set only by being processed.  A budget
+        # below 1 trips after the first event.
+        if max_events is None:
+            steps = repeat(None)
+        else:
+            steps = repeat(None, max(max_events, 1))
+        pending0 = self.pending_events
+        seq0 = self._seq
         try:
-            while True:
+            for _ in steps:
                 if lanes:
                     lane = self._min_lane()
                     cur = lane.cursor
@@ -661,43 +402,6 @@ class Simulator:
                     else:
                         if lt > t_end:
                             break
-                        # Cheap pre-check (attribute loads only) before
-                        # the full segment scan: a batch of bmin events
-                        # needs the (bmin-1)-th successor inside the
-                        # horizon and strictly before the heap root, and
-                        # in steady state the root usually lands before
-                        # the next lane event.
-                        bh = lane.bh
-                        j = cur + lane.bmin - 1
-                        if (
-                            bh is not None
-                            and j < lane.n
-                            and lane.times[j] <= lt + lane.horizon
-                            and (not heap or lane.times[j] < heap[0][0])
-                        ):
-                            end = self._segment_end(lane, cur, lt, t_end)
-                            if end - cur >= lane.bmin:
-                                # Consume the whole segment before
-                                # dispatch (exception semantics match
-                                # the scalar path: a faulting batch is
-                                # not replayable).
-                                lane.cursor = end
-                                if end == lane.n:
-                                    lanes.remove(lane)
-                                self.now = lane.times[end - 1]
-                                if lane.b_seq is None:
-                                    bh(
-                                        lane.t_np[cur:end],
-                                        lane.a_np[cur:end],
-                                        lane.b,
-                                    )
-                                else:
-                                    bh(
-                                        lane.t_np[cur:end],
-                                        lane.a_np[cur:end],
-                                        lane.b_np[cur:end],
-                                    )
-                                continue
                         # Consume the lane event *before* dispatch: an
                         # exception inside the handler must not leave it
                         # replayable, matching the heap path's semantics.
@@ -720,6 +424,13 @@ class Simulator:
                         pop(heap)
                 else:
                     break
+            else:
+                if heap or lanes:
+                    raise SimulationError(
+                        f"processed max_events={max_events} events with "
+                        f"{self.pending_events} still pending; runaway "
+                        f"event loop?"
+                    )
         except BaseException:
             if self._live:
                 # The faulting event is still the heap root; consume it
@@ -727,117 +438,27 @@ class Simulator:
                 self._live = False
                 pop(heap)
             raise
+        return pending0 + self._seq - seq0 - self.pending_events
+
+    def run_until(self, t_end: float) -> None:
+        """Process events up to and including ``t_end``.
+
+        The clock is left at ``t_end`` even if the queue drains earlier,
+        so measurement windows have well-defined widths.  A NaN
+        ``t_end`` raises :class:`SimulationError` with nothing processed.
+        """
+        if t_end != t_end:
+            raise SimulationError("run_until requires a non-NaN t_end")
+        self._run(t_end, None)
         if self.now < t_end:
             self.now = t_end
 
     def run_until_idle(self, *, max_events: int | None = None) -> int:
         """Drain every pending event; returns the number processed.
 
-        ``max_events`` bounds the *budget*: the run raises
-        :class:`SimulationError` only if the budget is exhausted while
-        events are still pending, so a run of exactly ``max_events``
-        events drains cleanly and returns that count.
+        ``max_events`` is the runaway guard's budget (see :meth:`_run`).
         """
-        heap = self._heap
-        handlers = self._handlers
-        lanes = self._lanes
-        pop = heapq.heappop
-        count = 0
-        try:
-            while True:
-                if lanes:
-                    lane = self._min_lane()
-                    cur = lane.cursor
-                    lt = lane.times[cur]
-                    take_heap = False
-                    if heap:
-                        root = heap[0]
-                        take_heap = root[0] < lt or (
-                            root[0] == lt and root[1] < lane.seq0 + cur
-                        )
-                    if take_heap:
-                        self.now = root[0]
-                        self._live = True
-                        handlers[root[2]](root[3], root[4])
-                        if self._live:
-                            self._live = False
-                            pop(heap)
-                    else:
-                        bh = lane.bh
-                        end = cur + 1
-                        j = cur + lane.bmin - 1
-                        if (
-                            bh is not None
-                            and j < lane.n
-                            and lane.times[j] <= lt + lane.horizon
-                            and (not heap or lane.times[j] < heap[0][0])
-                        ):
-                            end = self._segment_end(lane, cur, lt, _INF)
-                            if max_events is not None:
-                                # Batches never overshoot the budget:
-                                # the remainder stays pending so the
-                                # runaway guard fires at exactly the
-                                # same count as the scalar path.
-                                rem = max_events - count
-                                if end - cur > rem:
-                                    end = cur + rem
-                        if end - cur >= lane.bmin and end - cur > 1:
-                            lane.cursor = end
-                            if end == lane.n:
-                                lanes.remove(lane)
-                            self.now = lane.times[end - 1]
-                            if lane.b_seq is None:
-                                bh(
-                                    lane.t_np[cur:end],
-                                    lane.a_np[cur:end],
-                                    lane.b,
-                                )
-                            else:
-                                bh(
-                                    lane.t_np[cur:end],
-                                    lane.a_np[cur:end],
-                                    lane.b_np[cur:end],
-                                )
-                            # The shared post-dispatch accounting below
-                            # adds the final 1.
-                            count += end - cur - 1
-                        else:
-                            b_seq = lane.b_seq
-                            b = lane.b if b_seq is None else b_seq[cur]
-                            lane.cursor = cur + 1
-                            if cur + 1 == lane.n:
-                                lanes.remove(lane)
-                            self.now = lt
-                            handlers[lane.op](lane.a[cur], b)
-                elif heap:
-                    event = heap[0]
-                    self.now = event[0]
-                    self._live = True
-                    handlers[event[2]](event[3], event[4])
-                    if self._live:
-                        self._live = False
-                        pop(heap)
-                else:
-                    break
-                count += 1
-                if (
-                    max_events is not None
-                    and count >= max_events
-                    and (heap or lanes)
-                ):
-                    pending = len(heap) + sum(
-                        ln.n - ln.cursor for ln in lanes
-                    )
-                    raise SimulationError(
-                        f"processed max_events={max_events} events with "
-                        f"{pending} still pending; runaway event loop?"
-                    )
-        except BaseException:
-            if self._live:
-                self._live = False
-                pop(heap)
-            raise
-        return count
+        return self._run(_INF, max_events)
 
     @property
     def events_scheduled(self) -> int:

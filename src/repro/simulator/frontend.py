@@ -179,35 +179,6 @@ class FrontendProcess:
         if not self.busy:
             self._next()
 
-    def submit_at(self, req: Request, t: float) -> None:
-        """Batched-admission sibling of :meth:`submit`.
-
-        Admits ``req`` as if it had arrived at absolute time ``t``
-        (``t <= sim.now``, the batch segment's end).  Requires a
-        Degenerate parse distribution -- the idle path schedules the
-        parse completion at ``t + parse_const`` directly instead of
-        sampling at ``sim.now`` -- which the cluster's batch-eligibility
-        gate guarantees.  Busy frontends just enqueue, exactly like
-        :meth:`submit` (queued requests read their parse start from the
-        clock when :meth:`_next` reaches them, which batching does not
-        change).
-        """
-        req.arrival_time = t
-        req.frontend_id = self.fid
-        if self.tracer is not None:
-            # Same marker the scalar path emits: a batch-safe sampling
-            # tracer keeps this fast path active and discards the call
-            # for unsampled requests.
-            self.tracer.admit_span(req.rid, self.fid, t)
-        if self.busy:
-            self.queue.append(req)
-            return
-        # Idle: submit() would append then _next() would pop the same
-        # request, so skip the queue round-trip.
-        self.busy = True
-        req.parse_start_time = t
-        self.sim.schedule_op_at(t + self._parse_const, self._parse_op, req)
-
     def _next(self) -> None:
         if not self.queue:
             self.busy = False

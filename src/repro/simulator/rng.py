@@ -106,31 +106,6 @@ class BufferedIntegers:
         self._idx += 1
         return int(value)
 
-    def take(self, n: int) -> list:
-        """The next ``n`` draws as a list of python ints.
-
-        Consumes the stream exactly as ``n`` successive :meth:`next`
-        calls would (same block refills at the same positions, so
-        :meth:`resync` still rewinds correctly) while amortising the
-        per-draw overhead -- the batch-dispatch fast path's draw
-        primitive.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        out: list = []
-        while n > 0:
-            avail = self._buf.size - self._idx
-            if avail <= 0:
-                self._state0 = self._rng.bit_generator.state
-                self._buf = self._rng.integers(self._bound, size=self._block)
-                self._idx = 0
-                avail = self._buf.size
-            k = n if n < avail else avail
-            out.extend(self._buf[self._idx : self._idx + k].tolist())
-            self._idx += k
-            n -= k
-        return out
-
     def resync(self) -> None:
         """Rewind the wrapped stream to the exact per-call draw position.
 

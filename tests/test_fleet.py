@@ -80,6 +80,16 @@ class TestShardPlan:
             run_fleet(small_scenario(), shards=ShardPlan(((0, 1), (2,))))
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize("field", ["rate", "duration", "arrival_window"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive(self, field, bad):
+        # A NaN arrival window used to reach Cluster.run_until(nan) and
+        # drain every pending event in one window.
+        with pytest.raises(ValueError):
+            small_scenario(**{field: bad})
+
+
 class TestClusterOwner:
     def test_pure_and_in_range(self):
         ids = np.arange(10_000)

@@ -1,9 +1,21 @@
-"""Integration tests for the assembled cluster, ring, frontend, scanner."""
+"""Integration tests for the assembled cluster, ring, frontend, scanner,
+and the metrics recorder's histogram buffering and disk-sample slots."""
+
+import types
 
 import numpy as np
 import pytest
 
-from repro.simulator import Cluster, ClusterConfig, HashRing, RngStreams
+from repro.distributions import Exponential
+from repro.obs.hist import LatencyHistogram
+from repro.simulator import (
+    Cluster,
+    ClusterConfig,
+    HashRing,
+    MetricsRecorder,
+    RngStreams,
+)
+from repro.simulator.metrics import HISTOGRAM_FAMILIES
 from repro.workload import ObjectCatalog, OpenLoopDriver, WikipediaTraceGenerator
 
 
@@ -76,6 +88,24 @@ class TestClusterEndToEnd:
         OpenLoopDriver(cluster).run(trace)
         cluster.drain()
         assert cluster.metrics.n_requests == len(trace)
+
+    def test_sampling_frontend_parse_runs_end_to_end(self, small_catalog):
+        """A non-Degenerate frontend parse draws its service time per
+        request from the frontend's stream; the run still completes every
+        request, with a positive frontend sojourn."""
+        cl = Cluster(
+            ClusterConfig(
+                cache_bytes_per_server=8 << 20, parse_fe=Exponential(1000.0)
+            ),
+            small_catalog.sizes,
+            seed=11,
+        )
+        gen = WikipediaTraceGenerator(small_catalog, rng=np.random.default_rng(5))
+        trace = gen.constant_rate(80.0, 5.0)
+        OpenLoopDriver(cl).run(trace)
+        cl.drain()
+        assert cl.metrics.n_requests == len(trace)
+        assert np.all(cl.metrics.requests().frontend_sojourn > 0.0)
 
     def test_reproducibility(self, small_catalog):
         def run(seed):
@@ -231,3 +261,95 @@ class TestStateSummary:
         cl.drain()
         state = cl.state_summary()
         assert all(d["cache_fill"]["data"] > 0 for d in state["devices"])
+
+
+def _fake_request(i):
+    return types.SimpleNamespace(
+        response_latency=0.001 * (i + 1),
+        full_latency=0.002 * (i + 1),
+        accept_wait=0.0001 * i,
+        frontend_sojourn=0.0005 * (i + 1),
+        backend_response=0.0004 * (i + 1),
+    )
+
+
+class TestHistogramBuffering:
+    def test_buffered_counts_match_scalar_reference(self):
+        rec = MetricsRecorder(latency_store="histogram")
+        n = MetricsRecorder.HIST_FLUSH + 137  # cross one flush boundary
+        ref = LatencyHistogram()
+        for i in range(n):
+            req = _fake_request(i)
+            rec.record_request(req)
+            ref.record(max(req.response_latency, 0.0))
+        assert rec.n_requests == n  # no flush needed for the count
+        hist = rec.histogram("response")
+        assert hist.count == n
+        assert hist.to_dict()["counts"] == ref.to_dict()["counts"]
+        assert hist.quantile(0.99) == ref.quantile(0.99)
+
+    def test_state_flushes_pending_buffer(self):
+        rec = MetricsRecorder(latency_store="histogram")
+        for i in range(10):  # well below the flush threshold
+            rec.record_request(_fake_request(i))
+        state = rec.state()
+        for name in HISTOGRAM_FAMILIES:
+            assert state["hists"][name]["count"] == 10
+
+    def test_clear_drops_buffered_values(self):
+        rec = MetricsRecorder(latency_store="histogram")
+        for i in range(10):
+            rec.record_request(_fake_request(i))
+        rec.clear_requests()
+        assert rec.n_requests == 0
+        assert rec.histogram("response").count == 0
+        rec.record_request(_fake_request(0))
+        assert rec.histogram("response").count == 1
+
+    def test_roundtrip_through_state(self):
+        rec = MetricsRecorder(latency_store="histogram")
+        for i in range(50):
+            rec.record_request(_fake_request(i))
+        clone = MetricsRecorder.from_state(rec.state())
+        assert clone.state() == rec.state()
+        clone.record_request(_fake_request(99))
+        assert clone.histogram("response").count == 51
+
+
+class TestDiskOpSlots:
+    def test_preallocated_slots_invisible_in_exports(self):
+        rec = MetricsRecorder(record_disk_samples=True)
+        rec.record_disk_op("data", 0.01)
+        assert rec.disk_sample_kinds() == ["data"]
+        assert rec.disk_mark() == {"data": 1}
+        assert set(rec.state()["disk"]) == {"data"}
+
+    def test_unknown_kind_gets_slot_on_first_use(self):
+        rec = MetricsRecorder(record_disk_samples=True)
+        rec.record_disk_op("scan", 0.5)
+        rec.record_disk_op("scan", 0.7)
+        assert rec.disk_samples("scan").tolist() == [0.5, 0.7]
+        assert rec.disk_sample_kinds() == ["scan"]
+
+    def test_clear_rebinds_slots(self):
+        rec = MetricsRecorder(record_disk_samples=True)
+        rec.record_disk_op("index", 0.1)
+        rec.clear()
+        assert rec.disk_sample_kinds() == []
+        rec.record_disk_op("index", 0.2)
+        assert rec.disk_samples("index").tolist() == [0.2]
+
+    def test_samples_since_skips_untouched_kinds(self):
+        rec = MetricsRecorder(record_disk_samples=True)
+        mark = rec.disk_mark()
+        assert mark == {}
+        rec.record_disk_op("meta", 0.3)
+        since = rec.disk_samples_since(mark)
+        assert list(since) == ["meta"]
+        assert since["meta"].tolist() == [0.3]
+
+    def test_disabled_recorder_records_nothing(self):
+        rec = MetricsRecorder(record_disk_samples=False)
+        rec.record_disk_op("data", 0.1)
+        assert rec.disk_sample_kinds() == []
+        assert rec.state()["disk"] == {}

@@ -1,12 +1,13 @@
-"""Kernel ordering semantics: typed-opcode dispatch vs legacy callbacks.
+"""Kernel ordering semantics: typed-opcode dispatch vs dynamic callbacks.
 
 The simulator's run loop dispatches ``(time, seq, opcode, a, b)`` events
-through a flat handler table; opcode 0 is the legacy dynamic-call path.
+through a flat handler table; opcode 0 is the dynamic-call path.
 These tests pin the semantics the queueing layers depend on: total FIFO
 ordering among simultaneous events regardless of scheduling API, exact
 clock behaviour of ``run_until``, the runaway guard, rejection of
-non-finite times, and bit-identical behaviour of the two dispatch styles
-on a recorded event script.
+non-finite times, event-lane merging against the heap, and
+bit-identical behaviour of the two dispatch styles on a recorded event
+script.
 """
 
 import numpy as np
@@ -42,14 +43,17 @@ class TestNonFiniteTimes:
             sim.schedule(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
-    def test_sorted_ops_reject_non_finite(self):
+    def test_run_until_rejects_nan_t_end(self):
+        """A NaN window bound compares False against every event time;
+        it must not be read as "no bound" and drain the whole queue."""
         sim = Simulator()
-        log = []
-        op = sim.register(lambda a, b: log.append(a))
+        fired = []
+        sim.schedule_at(100.0, fired.append, "late")
         with pytest.raises(SimulationError):
-            sim.schedule_sorted_ops([1.0, float("nan")], op, ["a", "b"])
-        # Validation happens before anything is enqueued.
-        assert sim.pending_events == 0
+            sim.run_until(float("nan"))
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
 
 
 class TestOrderingSemantics:
@@ -88,36 +92,9 @@ class TestOrderingSemantics:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run_until_idle(max_events=50)
 
-    def test_sorted_ops_match_individual_scheduling(self):
-        """Bulk sorted scheduling fires identically to one-by-one pushes."""
-        times = [0.5, 0.5, 1.25, 2.0, 2.0, 2.0]
-        tags = list("abcdef")
-
-        bulk = Simulator()
-        log_bulk = []
-        op = bulk.register(lambda a, b: log_bulk.append((bulk.now, a)))
-        bulk.schedule_sorted_ops(times, op, tags)
-        bulk.run_until_idle()
-
-        single = Simulator()
-        log_single = []
-        op = single.register(lambda a, b: log_single.append((single.now, a)))
-        for t, tag in zip(times, tags):
-            single.schedule_op_at(t, op, tag)
-        single.run_until_idle()
-
-        assert log_bulk == log_single
-
-    def test_sorted_ops_reject_decreasing_times(self):
-        sim = Simulator()
-        op = sim.register(lambda a, b: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_sorted_ops([2.0, 1.0], op, ["a", "b"])
-        assert sim.pending_events == 0
-
 
 class TestDispatchEquivalence:
-    """Opcode dispatch vs legacy callbacks on a recorded event script."""
+    """Opcode dispatch vs dynamic callbacks on a recorded event script."""
 
     @staticmethod
     def _script(seed: int = 1234, n: int = 400):
@@ -317,6 +294,20 @@ class TestEventLanes:
             sim.schedule_runs(np.array([1.0, np.nan]), op, ["a", "b"])
         assert sim.pending_events == 0
 
+    def test_lane_exhaustion_mid_drain(self):
+        """A short lane drains while a longer lane and a heap event are
+        still pending: the kernel drops the exhausted lane and keeps
+        merging the rest in ``(time, seq)`` order."""
+        sim = Simulator()
+        log = []
+        op = sim.register(lambda a, b: log.append((sim.now, a)))
+        sim.schedule_runs(np.array([1.0, 1.5]), op, np.array([0, 1]))
+        sim.schedule_runs(np.array([4.0, 5.0]), op, np.array([10, 11]))
+        sim.schedule_at(4.5, lambda: log.append((sim.now, "heap")))
+        sim.run_until_idle()
+        assert log == [(1.0, 0), (1.5, 1), (4.0, 10), (4.5, "heap"), (5.0, 11)]
+        assert sim.pending_events == 0
+
     def test_empty_run_is_noop(self):
         sim = Simulator()
         op = sim.register(lambda a, b: None)
@@ -358,3 +349,17 @@ class TestMaxEventsBoundary:
         sim.schedule_runs([1.0, 2.0, 3.0], op, ["a", "b", "c"])
         with pytest.raises(SimulationError, match="2 still pending"):
             sim.run_until_idle(max_events=1)
+
+    def test_exhausted_budget_leaves_rest_replayable(self):
+        """The guard stops at exactly the budget; the remaining lane
+        events stay pending and a resumed run processes them in order."""
+        sim = Simulator()
+        log = []
+        op = sim.register(lambda a, b: log.append(a))
+        sim.schedule_runs(np.arange(1.0, 11.0), op, np.arange(10))
+        with pytest.raises(SimulationError):
+            sim.run_until_idle(max_events=4)
+        assert log == [0, 1, 2, 3]
+        assert sim.pending_events == 6
+        assert sim.run_until_idle() == 6
+        assert log == list(range(10))

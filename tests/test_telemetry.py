@@ -4,8 +4,7 @@ Covers docs/OBSERVABILITY.md "Fleet telemetry":
 
 * the deterministic head-based sampling hash (scalar == vectorised,
   shard-plan-invariant, edge rates);
-* :class:`SampledTracer` keeping the batch-dispatch fast path while a
-  full tracer downgrades it (with the downgrade recorded loudly);
+* :class:`SampledTracer` tracing exactly the hashed requests;
 * bit-identity of the simulated state under every telemetry facility;
 * :class:`ShardStreamer` snapshot deltas summing to the final totals in
   both latency-store modes;
@@ -35,7 +34,6 @@ from repro.experiments.fleet import (
     build_cluster_tasks,
     run_fleet,
 )
-from repro.obs.diagnostics import DiagnosticsSession
 from repro.obs.events import EventLog, follow, read_events
 from repro.obs.telemetry import (
     SampledTracer,
@@ -54,19 +52,17 @@ from repro.obs.telemetry import (
     write_profile,
 )
 from repro.obs.trace import Tracer, write_trace
-from repro.distributions import Exponential
 from repro.simulator import Simulator
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.metrics import MetricsRecorder, merge_recorder_states
 from repro.workload.arrivals import poisson_arrivals
 
 
-def _mini_cluster(batch=True, *, tracer=None, store="exact", seed=5):
+def _mini_cluster(*, tracer=None, store="exact", seed=5):
     rng = np.random.default_rng(17)
     sizes = rng.integers(4_096, 2_000_000, size=400)
     return Cluster(
-        ClusterConfig(), sizes, seed=seed, batch_dispatch=batch,
-        tracer=tracer, latency_store=store,
+        ClusterConfig(), sizes, seed=seed, tracer=tracer, latency_store=store,
     )
 
 
@@ -121,45 +117,19 @@ class TestSamplingHash:
 
 
 # ----------------------------------------------------------------------
-# SampledTracer in a cluster: fast path, gating, bit-identity
+# SampledTracer in a cluster: gating, bit-identity
 # ----------------------------------------------------------------------
 
 
 class TestSampledTracerCluster:
-    def test_keeps_batch_dispatch_active(self):
-        cl = _mini_cluster(True, tracer=SampledTracer(0.05, seed=9))
-        assert cl.batch_dispatch is True
-        assert cl.downgrades == []
-
-    def test_full_tracer_records_downgrade(self):
-        with DiagnosticsSession() as session:
-            cl = _mini_cluster(True, tracer=Tracer())
-        assert cl.batch_dispatch is False
-        assert len(cl.downgrades) == 1
-        assert cl.downgrades[0]["capability"] == "batch_dispatch"
-        assert any("downgrade" in n for n in session.summary()["notes"])
-        assert any("NOTE" in line for line in session.render().splitlines())
-
-    def test_non_degenerate_parse_records_downgrade(self):
-        rng = np.random.default_rng(17)
-        sizes = rng.integers(4_096, 2_000_000, size=400)
-        cl = Cluster(
-            ClusterConfig(parse_fe=Exponential(1000.0)), sizes, seed=5,
-            batch_dispatch=True,
-        )
-        assert cl.batch_dispatch is False
-        assert any(
-            "parse" in d["reason"] for d in cl.downgrades
-        )
-
     def test_state_bit_identical_to_untraced(self):
-        base = _drive(_mini_cluster(True))
-        traced = _drive(_mini_cluster(True, tracer=SampledTracer(0.02, seed=9)))
+        base = _drive(_mini_cluster())
+        traced = _drive(_mini_cluster(tracer=SampledTracer(0.02, seed=9)))
         assert traced == base
 
     def test_exactly_the_hashed_requests_are_traced(self):
         tracer = SampledTracer(0.05, seed=9)
-        cl = _mini_cluster(True, tracer=tracer)
+        cl = _mini_cluster(tracer=tracer)
         _drive(cl)
         n = cl.metrics.n_requests
         got = {e["rid"] for e in tracer.events if "rid" in e}
@@ -175,7 +145,7 @@ class TestSampledTracerCluster:
 
     def test_full_tracer_emits_admit_for_every_request(self):
         tracer = Tracer()
-        cl = _mini_cluster(True, tracer=tracer)
+        cl = _mini_cluster(tracer=tracer)
         _drive(cl)
         admits = [e for e in tracer.events if e["k"] == "admit"]
         assert len(admits) == cl.metrics.n_requests
@@ -261,24 +231,32 @@ class TestFleetTelemetry:
 
 
 class TestKernelProfiler:
-    def test_scalar_and_batch_attribution(self):
+    def test_lane_heap_and_dynamic_attribution(self):
+        def lane_handler(a, b):
+            seen.append(a)
+
+        def heap_handler(a, b):
+            seen.append(a)
+
         sim = Simulator()
         seen = []
-        op = sim.register(
-            lambda a, b: seen.append(a),
-            batch_handler=lambda ts, a, b: seen.extend(a.tolist()),
-            batch_horizon=math.inf,
-        )
+        lane_op = sim.register(lane_handler)
+        heap_op = sim.register(heap_handler)
         sim.enable_profile()
-        sim.schedule_runs(np.arange(50) * 1e-3, op, np.arange(50))
+        sim.schedule_runs(np.arange(50) * 1e-3, lane_op, np.arange(50))
+        for i in range(3):
+            sim.schedule_op(0.5 + i, heap_op, 100 + i)
         sim.schedule(1.0, seen.append, -1)  # opcode 0: dynamic invoke
         sim.run_until_idle()
-        rows = {r["name"]: r for r in sim.profile_snapshot()}
-        batch_row = next(r for n, r in rows.items() if n != "<dynamic>")
-        assert batch_row["batch_events"] == 50
-        assert batch_row["scalar_calls"] == 0
-        assert rows["<dynamic>"]["scalar_calls"] == 1
-        assert len(seen) == 51
+        rows = sim.profile_snapshot()
+        by_name = {r["name"].rsplit(".", 1)[-1]: r for r in rows}
+        assert set(by_name) == {"lane_handler", "heap_handler", "<dynamic>"}
+        assert by_name["lane_handler"]["events"] == 50
+        assert by_name["heap_handler"]["events"] == 3
+        assert by_name["<dynamic>"]["events"] == 1
+        assert all(set(r) == {"name", "events", "total_s"} for r in rows)
+        assert all(r["total_s"] >= 0.0 for r in rows)
+        assert len(seen) == 54
 
     def test_late_registration_is_wrapped(self):
         sim = Simulator()
@@ -287,24 +265,21 @@ class TestKernelProfiler:
         sim.schedule_runs(np.array([0.5]), op, np.array([0]))
         sim.run_until_idle()
         rows = sim.profile_snapshot()
-        assert sum(r["scalar_calls"] for r in rows) == 1
+        assert sum(r["events"] for r in rows) == 1
 
     def test_snapshot_empty_when_off(self):
         assert Simulator().profile_snapshot() == []
 
     def test_profiling_is_bit_identical(self):
-        a = _mini_cluster(True)
+        a = _mini_cluster()
         a.sim.enable_profile()
-        b = _mini_cluster(True)
+        b = _mini_cluster()
         assert _drive(a) == _drive(b)
 
     def test_merge_render_and_doc(self, tmp_path):
-        rows_a = [{"name": "x", "scalar_calls": 2, "scalar_s": 0.5,
-                   "batch_segments": 1, "batch_events": 10, "batch_s": 0.1}]
-        rows_b = [{"name": "x", "scalar_calls": 1, "scalar_s": 0.25,
-                   "batch_segments": 0, "batch_events": 0, "batch_s": 0.0},
-                  {"name": "y", "scalar_calls": 4, "scalar_s": 2.0,
-                   "batch_segments": 0, "batch_events": 0, "batch_s": 0.0}]
+        rows_a = [{"name": "x", "events": 12, "total_s": 0.6}]
+        rows_b = [{"name": "x", "events": 1, "total_s": 0.25},
+                  {"name": "y", "events": 4, "total_s": 2.0}]
         merged = merge_profile_rows([rows_a, rows_b])
         assert [r["name"] for r in merged] == ["y", "x"]  # by total_s
         x = next(r for r in merged if r["name"] == "x")
@@ -561,7 +536,6 @@ class TestTelemetryCli:
             (tmp_path / "fleet.json.manifest.json").read_text()
         )
         assert manifest["extra"]["telemetry"] is True
-        assert manifest["extra"]["downgrades"] == []
 
         rc = main(["top", str(bus), "--once"])
         assert rc == 0
