@@ -596,7 +596,8 @@ KERNEL_PROFILE_KIND = "cosmodel-kernel-profile"
 
 
 def merge_profile_rows(row_lists) -> list[dict]:
-    """Sum per-handler ``{name, events, total_s}`` rows across clusters/shards."""
+    """Sum per-handler ``{name, events, total_s}`` rows across clusters/shards
+    (and the ``calls`` of profile-span rows)."""
     by_name: dict[str, dict] = {}
     for rows in row_lists:
         for row in rows or ():
@@ -605,6 +606,8 @@ def merge_profile_rows(row_lists) -> list[dict]:
             )
             acc["events"] += row["events"]
             acc["total_s"] += row["total_s"]
+            if "calls" in row:
+                acc["calls"] = acc.get("calls", 0) + row["calls"]
     out = list(by_name.values())
     out.sort(key=lambda r: (-r["total_s"], r["name"]))
     return out
@@ -640,8 +643,11 @@ def render_kernel_profile(doc_or_rows) -> str:
     for row in rows:
         total_s = row.get("total_s", 0.0)
         share = total_s / total if total == total and total > 0 else 0.0
+        name = row["name"]
+        if "calls" in row:  # a profile span: runs inside other events
+            name = f"{name} ({row['calls']} calls)"
         lines.append(
-            f"{row['name']:<40} {row.get('events', 0):>10} "
+            f"{name:<40} {row.get('events', 0):>10} "
             f"{total_s:>9.3f} {100.0 * share:>6.1f}%"
         )
     if rows:

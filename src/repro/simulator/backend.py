@@ -40,7 +40,7 @@ from collections import deque
 import numpy as np
 
 from repro.distributions import Degenerate, Distribution
-from repro.simulator.cache import LruCache
+from repro.simulator.cache import LruCache, StampLru
 from repro.simulator.core import Simulator
 from repro.simulator.disk import OP_DATA, OP_INDEX, OP_META, OP_WRITE, Disk
 from repro.simulator.network import NetworkProfile
@@ -325,7 +325,7 @@ class StorageDevice:
         "parse_dist",
         "on_complete",
         "on_write_ack",
-        "scanner",
+        "scan",
         "failed",
         "tracer",
         "_rng",
@@ -343,7 +343,7 @@ class StorageDevice:
         device_id: int,
         name: str,
         disk: Disk,
-        caches: tuple[LruCache, LruCache, LruCache],
+        caches: tuple[StampLru, StampLru, LruCache],
         network: NetworkProfile,
         n_processes: int,
         chunk_bytes: int,
@@ -377,7 +377,8 @@ class StorageDevice:
         self.parse_dist = parse_dist
         self.on_complete = None  # wired by the cluster to the recorder
         self.on_write_ack = None  # wired by the cluster (quorum handling)
-        self.scanner = None  # optional MaintenanceScanner (set by the cluster)
+        #: Optional ``MaintenanceScanner.advance`` (set by the cluster).
+        self.scan = None
         #: Fail-stop flag: a failed device is skipped by fault-aware
         #: frontend routing.  In-flight work still completes, and the
         #: caches survive to recovery (warm restart).
@@ -407,8 +408,8 @@ class StorageDevice:
         """A TCP SYN arrives: enter the listen backlog, or queue behind
         it when the backlog is full (connect() has not completed yet for
         such connections, so their frontends cannot send requests)."""
-        if self.scanner is not None:
-            self.scanner.advance(self.sim.now)
+        if self.scan is not None:
+            self.scan(self.sim.now)
         conn.request.connect_time = self.sim.now
         conn.request.device_id = self.device_id
         if conn.request.is_write:

@@ -1,4 +1,4 @@
-"""Byte-budget LRU cache model (the backend page cache).
+"""LRU cache models of a backend server's memory.
 
 The paper's cost argument (Section II): backend servers deliberately lack
 the memory to cache all index & metadata (Wikipedia's Swift cluster runs
@@ -6,26 +6,25 @@ RAM-to-disk ratios of 1:300 to 1:800), so index lookups, metadata reads
 *and* data reads all miss with workload-dependent ratios -- the
 ``m_index, m_meta, m_data`` online metrics of the model.
 
-This is a plain LRU over ``(kind, key)`` entries with byte-accurate
-charging, standing in for the Linux page cache + XFS inode/dentry caches
-of the testbed.  One instance per backend server: all devices on a
-server share its memory, as in the real deployment.
+Two exact LRUs with byte-accurate charging stand in for the Linux page
+cache + XFS inode/dentry caches of the testbed; one set per backend
+server, since all devices on a server share its memory:
+
+* :class:`StampLru` for the index and metadata caches, whose entries all
+  have one size and are keyed by object id.  The maintenance scanner
+  streams millions of touches through these, so a whole scan batch is
+  applied with a few array operations.
+* :class:`LruCache`, a plain ordered-dict LRU over ``(object, chunk)``
+  keys of varying size, for the data (page) cache.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import islice, repeat
 
 import numpy as np
 
-__all__ = ["LruCache"]
-
-#: ``_usize`` sentinel: resident entries have heterogeneous sizes (or
-#: uniformity is unknown), so byte-accurate eviction arithmetic is
-#: required.  Any non-negative value means *every* resident entry has
-#: exactly that size, which licenses the slot-counting fast paths.
-_MIXED = -1
+__all__ = ["LruCache", "StampLru"]
 
 
 class LruCache:
@@ -43,7 +42,6 @@ class LruCache:
         "used_bytes",
         "hits",
         "misses",
-        "_usize",
     )
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -54,12 +52,6 @@ class LruCache:
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
-        # Uniform entry size, or _MIXED.  The index and metadata caches
-        # only ever see one entry size, where evicting to fit is always
-        # exactly one popitem -- tracked here so the batched access
-        # paths can drop the per-key byte arithmetic.  The flag is
-        # conservative: demoting to _MIXED is always sound.
-        self._usize = _MIXED
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,117 +80,14 @@ class LruCache:
         while self.used_bytes + size > self.capacity_bytes:
             _old, old_size = entries.popitem(last=False)
             self.used_bytes -= old_size
-        if self._usize != size:
-            self._usize = size if not entries else _MIXED
         entries[key] = size
         self.used_bytes += size
-
-    def access_many(self, keys, size: int) -> int:
-        """Touch ``keys`` in order, each charged ``size`` bytes.
-
-        Exactly equivalent to calling :meth:`access` per key (same final
-        resident set, LRU order and counters) with the per-call overhead
-        hoisted out of the loop; this is the maintenance-scan and warmup
-        hot path, where millions of uniform-size touches arrive in
-        batches.  Returns the number of hits.
-        """
-        size = int(size)
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        entries = self._entries
-        move = entries.move_to_end
-        pop = entries.popitem
-        cap = self.capacity_bytes
-        hits = 0
-        if size <= cap:
-            if self._usize != size:
-                # Every admission below has this size; starting empty
-                # the cache ends uniform, otherwise sizes (may) mix.
-                self._usize = size if not entries else _MIXED
-            if self._usize == size and size > 0:
-                # Uniform resident set: eviction frees exactly ``size``
-                # bytes, so fitting one admission is at most one popitem
-                # and the byte ledger reduces to an entry count.
-                if not isinstance(keys, list):
-                    keys = list(keys)
-                m = len(keys)
-                slots = (cap - self.used_bytes) // size
-                keyset = set(keys)
-                if len(keyset) == m:
-                    # Set-algebra batch path.  With distinct keys, every
-                    # touched key ends at the tail in batch order (hits
-                    # move there, misses insert there), eviction count
-                    # is fixed at misses - free slots, and -- because
-                    # LRU evicts strictly oldest-first and inserts never
-                    # land at the front -- the evicted set is exactly
-                    # the first ``evict`` entries at batch start,
-                    # independent of interleaving, PROVIDED no would-be
-                    # hit sits inside that front zone (it would be
-                    # evicted before its touch).  That proviso is
-                    # checked explicitly; scan hits are request-hot
-                    # entries near the tail, so it nearly always holds.
-                    hitset = entries.keys() & keyset
-                    nh = len(hitset)
-                    evict = m - nh - slots
-                    if evict < 0:
-                        evict = 0
-                    # No evictions or no hits makes the front-zone check
-                    # trivially true; skip the islice walk (isdisjoint on
-                    # an empty set still consumes the whole iterator).
-                    if evict + nh <= len(entries) and (
-                        not evict
-                        or not nh
-                        or hitset.isdisjoint(islice(entries, evict))
-                    ):
-                        for _ in repeat(None, evict):
-                            pop(last=False)
-                        for key in hitset:
-                            del entries[key]
-                        entries.update(zip(keys, repeat(size, m)))
-                        self.used_bytes = len(entries) * size
-                        self.hits += nh
-                        self.misses += m - nh
-                        return nh
-                for key in keys:
-                    if key in entries:
-                        move(key)
-                        hits += 1
-                    elif slots > 0:
-                        slots -= 1
-                        entries[key] = size
-                    else:
-                        pop(last=False)
-                        entries[key] = size
-                self.used_bytes = len(entries) * size
-                self.hits += hits
-                self.misses += m - hits
-                return hits
-        used = self.used_bytes
-        misses = 0
-        oversize = size > cap
-        for key in keys:
-            if key in entries:
-                move(key)
-                hits += 1
-            else:
-                misses += 1
-                if oversize:
-                    continue  # larger than memory: read-through
-                while used + size > cap:
-                    _old, old_size = pop(last=False)
-                    used -= old_size
-                entries[key] = size
-                used += size
-        self.used_bytes = used
-        self.hits += hits
-        self.misses += misses
-        return hits
 
     def access_pairs(self, pairs) -> int:
         """Touch ``(key, size)`` pairs in order; returns the hit count.
 
-        The variable-size sibling of :meth:`access_many`, used for
-        chunked data-cache traffic.
+        Exactly equivalent to calling :meth:`access` per pair; this is the
+        data-cache path of the maintenance scan.
         """
         entries = self._entries
         move = entries.move_to_end
@@ -227,20 +116,10 @@ class LruCache:
                     while used > target:
                         _old, old_size = pop(last=False)
                         used -= old_size
-                    unique_sizes = set(sizes)
-                    if len(unique_sizes) > 1:
-                        self._usize = _MIXED
-                    else:
-                        (only,) = unique_sizes
-                        if self._usize != only:
-                            self._usize = only if not entries else _MIXED
                     entries.update(pairs)
                     self.used_bytes = used + total
                     self.misses += len(pairs)
                     return 0
-        if pairs:
-            # Conservative: the per-pair loop may admit several sizes.
-            self._usize = _MIXED
         hits = 0
         misses = 0
         for key, size in pairs:
@@ -263,66 +142,20 @@ class LruCache:
         self.misses += misses
         return hits
 
-    def install_tail_uniform(self, keys, size: int) -> None:
-        """Install the exact final state of replaying uniform-``size``
-        accesses to ``keys`` into an *empty* cache, without the replay.
+    def install_tail_reversed(self, rev_pairs) -> None:
+        """Install the exact final state of replaying ``(key, size)``
+        accesses into an *empty* cache, without the replay.
 
         LRU evicts strictly oldest-first, so the survivors of any replay
         are a suffix of the distinct keys in last-access order: scan the
         stream backwards, keep distinct keys while they fit, and stop at
         the first key that does not (every older key was necessarily
-        evicted before it).  The scan usually terminates after a small
-        fraction of the stream -- the point of this method; the warmup
-        replay it serves is otherwise the single hottest loop of sweep
-        setup.  Counters are not updated (the warmup path resets them
-        immediately afterwards).
-        """
-        if self._entries:
-            raise ValueError("install_tail requires an empty cache")
-        size = int(size)
-        cap = self.capacity_bytes
-        if size > cap:  # read-through: nothing is ever admitted
-            return
-        limit = cap // size if size > 0 else None
-        if isinstance(keys, np.ndarray):
-            # Vectorised: the survivors are the last-access-order
-            # distinct keys, newest first, truncated to capacity.  The
-            # first occurrence of each value in the *reversed* stream is
-            # its last access, and np.unique reports exactly those.
-            uniq, first_idx = np.unique(keys[::-1], return_index=True)
-            # first_idx entries are distinct, so any sort kind is exact.
-            order = np.argsort(first_idx)
-            if limit is not None and order.size > limit:
-                order = order[:limit]
-            self._entries = OrderedDict.fromkeys(
-                uniq[order][::-1].tolist(), size
-            )
-            self.used_bytes = len(self._entries) * size
-            self._usize = size
-            return
-        seen = set()
-        add = seen.add
-        survivors = []  # most-recent-first
-        append = survivors.append
-        for key in reversed(keys):
-            if key in seen:
-                continue
-            add(key)
-            append(key)
-            if limit is not None and len(survivors) == limit:
-                break
-        self._entries = OrderedDict((k, size) for k in reversed(survivors))
-        self.used_bytes = len(survivors) * size
-        self._usize = size
-
-    def install_tail_reversed(self, rev_pairs) -> None:
-        """Variable-size sibling of :meth:`install_tail_uniform`.
-
-        ``rev_pairs`` yields ``(key, size)`` in *reverse* access order
-        (so the caller can generate it lazily and benefit from the early
-        stop).  Requires an empty cache and a stable size per key, both
-        guaranteed by the warmup replay.  Oversize entries are never
-        admitted by LRU and are transparent here too.
+        evicted before it).  ``rev_pairs`` yields ``(key, size)`` in
+        *reverse* access order (so the caller can generate it lazily and
+        benefit from the early stop).  Requires an empty cache and a
+        stable size per key, both guaranteed by the warmup replay.
+        Oversize entries are never admitted by LRU and are transparent
+        here too.
         """
         if self._entries:
             raise ValueError("install_tail requires an empty cache")
@@ -344,8 +177,6 @@ class LruCache:
             used += size
         self._entries = OrderedDict(reversed(survivors))
         self.used_bytes = used
-        sizes = {s for _, s in survivors}
-        self._usize = sizes.pop() if len(sizes) == 1 else _MIXED
 
     def evict(self, key) -> bool:
         """Drop one entry (used by failure-injection tests)."""
@@ -368,24 +199,15 @@ class LruCache:
     # ------------------------------------------------------------------
     def state(self) -> tuple:
         """A picklable snapshot of the resident set, in LRU order."""
-        return (tuple(self._entries.items()), self.used_bytes, self._usize)
+        return (tuple(self._entries.items()), self.used_bytes)
 
     def restore(self, state: tuple) -> None:
-        """Install a snapshot taken by :meth:`state` (counters reset).
-
-        Older two-field snapshots (without the uniform-size flag) are
-        accepted; the flag is then recomputed from the entry sizes.
-        """
-        entries, used_bytes = state[0], state[1]
+        """Install a snapshot taken by :meth:`state` (counters reset)."""
+        entries, used_bytes = state
         self._entries = OrderedDict(entries)
         self.used_bytes = int(used_bytes)
         self.hits = 0
         self.misses = 0
-        if len(state) > 2:
-            self._usize = state[2]
-        else:
-            sizes = set(self._entries.values())
-            self._usize = sizes.pop() if len(sizes) == 1 else _MIXED
 
     @property
     def hit_ratio(self) -> float:
@@ -396,4 +218,292 @@ class LruCache:
         return (
             f"LruCache(used={self.used_bytes}/{self.capacity_bytes} bytes, "
             f"entries={len(self._entries)}, hit_ratio={self.hit_ratio:.3f})"
+        )
+
+
+class StampLru:
+    """Exact LRU over uniform-size entries keyed by ints in ``[0, n_keys)``.
+
+    The index and metadata caches hold one entry size each and are keyed
+    by object id, so the resident set is exactly the ``slots`` most
+    recently touched distinct keys.  The state is two arrays and two
+    positions ``1 <= _front <= _next``:
+
+    * ``_buf[s]`` -- the key touched at stamp ``s``; every touch takes
+      the next stamp.  The entry is *alive* iff that key's stamp is
+      still ``s``: a later touch or an :meth:`evict` leaves a dead hole.
+      Alive entries from ``_front`` up to ``_next`` are the resident set
+      in LRU order.
+    * ``_stamp[key]`` -- the key's last-touch stamp; 0 for a key never
+      touched since the last compaction.  A key is resident iff its
+      stamp is ``>= _front``.
+    * ``_front`` only moves forward: evicting the LRU entry is stepping
+      it past the oldest alive entry.  When the buffer fills, the alive
+      entries are compacted to its start and every other stamp is
+      zeroed.
+
+    :meth:`access_many` applies a batch of touches with array operations
+    and leaves hits, misses, the resident set and its LRU order exactly
+    as the same touches through :meth:`access` would.  The scalar path
+    reads the arrays through memoryviews (numpy scalar indexing is
+    several times slower).  The ``size`` argument of :meth:`access`
+    keeps the call sites shared with :class:`LruCache`; it must equal
+    ``entry_bytes``.
+    """
+
+    __slots__ = (
+        "capacity_bytes",
+        "entry_bytes",
+        "slots",
+        "hits",
+        "misses",
+        "_count",
+        "_front",
+        "_next",
+        "_stamp",
+        "_buf",
+        "_sv",
+        "_bv",
+        "_ar",
+    )
+
+    def __init__(self, capacity_bytes: int, entry_bytes: int, n_keys: int) -> None:
+        if capacity_bytes < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
+        if entry_bytes < 0:
+            raise ValueError(f"entry size must be >= 0, got {entry_bytes}")
+        self.capacity_bytes = int(capacity_bytes)
+        self.entry_bytes = int(entry_bytes)
+        if entry_bytes > capacity_bytes:
+            slots = 0  # larger than memory: read-through, never cached
+        elif entry_bytes == 0:
+            slots = n_keys
+        else:
+            slots = min(capacity_bytes // entry_bytes, n_keys)
+        self.slots = slots
+        self.hits = 0
+        self.misses = 0
+        self._stamp = np.zeros(n_keys, dtype=np.int64)
+        # Stamps 1..2*slots (0 is "not resident"): a compaction leaves at
+        # most ``slots`` alive, so one batch window (<= slots) always fits.
+        self._buf = np.zeros(2 * slots + 1, dtype=np.int64)
+        self._sv = memoryview(self._stamp)
+        self._bv = memoryview(self._buf)
+        self._ar = np.arange(self._buf.size, dtype=np.int64)
+        self._count = 0
+        self._front = self._next = 1
+
+    # ------------------------------------------------------------------
+    # scalar path (request traffic)
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self._count
+
+    def __contains__(self, key) -> bool:
+        return self._sv[key] >= self._front
+
+    @property
+    def used_bytes(self) -> int:
+        return self._count * self.entry_bytes
+
+    def access(self, key, size: int | None = None) -> bool:
+        """Touch ``key``; returns True on hit.  Misses are admitted."""
+        sv = self._sv
+        hit = sv[key] >= self._front
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+            if self._count < self.slots:
+                self._count += 1
+            elif self.slots:
+                self._evict_oldest()
+            else:
+                return False
+        nxt = self._next
+        if nxt == len(self._bv):
+            self._compact()
+            nxt = self._next
+        self._bv[nxt] = key
+        sv[key] = nxt
+        self._next = nxt + 1
+        return hit
+
+    def _evict_oldest(self) -> None:
+        sv, bv = self._sv, self._bv
+        front = self._front
+        while sv[bv[front]] != front:
+            front += 1  # dead hole: touched again later, or evicted
+        self._front = front + 1
+
+    def evict(self, key) -> bool:
+        """Drop one entry (the DELETE path); False if it was not resident."""
+        if self._sv[key] < self._front:
+            return False
+        self._sv[key] = 0
+        self._count -= 1
+        return True
+
+    def clear(self) -> None:
+        self._front = self._next
+        self._count = 0
+
+    def reset_counters(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    # ------------------------------------------------------------------
+    # batch path (maintenance scan, warm-up)
+    # ------------------------------------------------------------------
+    def access_many(self, keys) -> int:
+        """Touch ``keys`` in order; returns the number of hits.
+
+        Exactly equivalent to calling :meth:`access` per key.  The batch
+        is applied in windows of at most ``slots`` keys, each cut at its
+        first repeated key and at its first would-be hit that an earlier
+        miss of the window would evict (see :meth:`_apply`).
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        m = keys.size
+        if not self.slots:
+            self.misses += m
+            return 0
+        hits = self.hits
+        window = self.slots
+        pos = 0
+        while pos < m:
+            step = self._apply(keys[pos : pos + window])
+            pos += step
+            # Short steps mean repeat-dense keys: shrink the window so a
+            # step never costs much more than the keys it applies.
+            window = min(self.slots, max(4 * step, 1024))
+        return self.hits - hits
+
+    def _apply(self, part: np.ndarray) -> int:
+        """Apply the longest safely vectorisable prefix of ``part``
+        (``1 <= len(part) <= slots``); returns its length.
+
+        With distinct keys, every touched key ends at the MRU end in
+        batch order and the ``misses - free slots`` evictions take the
+        oldest entries at batch start -- unless one of those entries is
+        a key of the batch (a would-be hit), which sequential access
+        would evict before touching it.  Cutting the batch just before
+        the first such key leaves a prefix whose eviction zone is a
+        sub-zone of the whole batch's and so holds none of its hits.
+        The first key of any batch is safe, so every call makes progress.
+        """
+        if self._next + part.size > self._buf.size:
+            self._compact()
+        stamp = self._stamp
+        front = self._front
+        m = part.size
+        old = stamp[part]
+        hit = old >= front
+        nh = np.count_nonzero(hit)
+        free = self.slots - self._count
+        n_evict = max(m - nh - free, 0)
+        if n_evict:
+            alive = self._alive_offsets(n_evict)
+            if nh:
+                endangered = hit & (old <= front + alive[n_evict - 1])
+                if np.count_nonzero(endangered):
+                    m = max(int(endangered.argmax()), 1)
+                    part, hit = part[:m], hit[:m]
+                    nh = np.count_nonzero(hit)
+                    n_evict = max(m - nh - free, 0)
+        nxt = self._next
+        new = self._ar[nxt : nxt + m]
+        stamp[part] = new
+        if np.count_nonzero(stamp[part] != new):
+            # A repeated key: only one of its writes reads back.  Undo
+            # (every copy of a key wrote back the same old stamp) and
+            # apply the distinct run before the first repeat instead.
+            stamp[part] = old[:m]
+            first = np.ones(m, dtype=bool)
+            first[np.unique(part, return_index=True)[1]] = False
+            return self._apply(part[: first.argmax()])
+        if n_evict:
+            self._front = front + int(alive[n_evict - 1]) + 1
+        self._buf[nxt : nxt + m] = part
+        self._next = nxt + m
+        self._count += m - nh - n_evict
+        self.hits += nh
+        self.misses += m - nh
+        return m
+
+    def _alive_offsets(self, k: int) -> np.ndarray:
+        """Offsets from ``_front`` of at least the ``k`` oldest resident
+        entries (``k <= len(self)``), ascending."""
+        lo = self._front
+        hi = self._next
+        width = k + (k >> 1) + 8
+        while True:
+            end = min(lo + width, hi)
+            stamps = self._stamp[self._buf[lo:end]]
+            alive = (stamps == self._ar[lo:end]).nonzero()[0]
+            if alive.size >= k or end == hi:
+                return alive
+            width *= 2
+
+    def _compact(self) -> None:
+        """Move the alive entries to the start of the buffer (the entry
+        count is the caller's: a scalar miss has already counted the key
+        it is about to add)."""
+        self._load(self.state())
+
+    def _load(self, keys: np.ndarray) -> None:
+        """Make ``keys`` (distinct, LRU order) the resident entries."""
+        c = keys.size
+        self._stamp.fill(0)
+        self._stamp[keys] = self._ar[1 : c + 1]
+        self._buf[1 : c + 1] = keys
+        self._front = 1
+        self._next = c + 1
+
+    def install_tail(self, keys) -> None:
+        """Install the exact final state of replaying ``keys`` into an
+        *empty* cache, without the replay.
+
+        The survivors are the ``slots`` distinct keys with the latest
+        last access, in last-access order.  Counters are not updated
+        (the warm-up path resets them immediately afterwards).
+        """
+        if self._count:
+            raise ValueError("install_tail requires an empty cache")
+        keys = np.asarray(keys, dtype=np.int64)
+        if not self.slots or not keys.size:
+            return
+        last = np.full(self._stamp.size, -1, dtype=np.int64)
+        np.maximum.at(last, keys, np.arange(keys.size, dtype=np.int64))
+        seen = np.flatnonzero(last >= 0)
+        # Last-access positions are distinct, so any sort kind is exact.
+        order = seen[np.argsort(last[seen])]
+        survivors = order[order.size - min(order.size, self.slots) :]
+        self._load(survivors)
+        self._count = survivors.size
+
+    # ------------------------------------------------------------------
+    # snapshot / restore (warm-state reuse by the parallel sweep engine)
+    # ------------------------------------------------------------------
+    def state(self) -> np.ndarray:
+        """A picklable snapshot: the resident keys, least recently used
+        first."""
+        seg = self._buf[self._front : self._next]
+        return seg[self._stamp[seg] == self._ar[self._front : self._next]]
+
+    def restore(self, state: np.ndarray) -> None:
+        """Install a snapshot taken by :meth:`state` (counters reset)."""
+        keys = np.asarray(state, dtype=np.int64)
+        if keys.size > self.slots:
+            raise ValueError(
+                f"snapshot holds {keys.size} entries, capacity is {self.slots}"
+            )
+        self._load(keys)
+        self._count = keys.size
+        self.reset_counters()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"StampLru(used={self.used_bytes}/{self.capacity_bytes} bytes, "
+            f"entries={self._count}, hits={self.hits}, misses={self.misses})"
         )

@@ -11,6 +11,7 @@ CI; every knob is in :class:`ClusterConfig`.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.simulator.backend import (
     META_ENTRY_BYTES,
     StorageDevice,
 )
-from repro.simulator.cache import LruCache
+from repro.simulator.cache import LruCache, StampLru
 from repro.simulator.core import Simulator
 from repro.simulator.disk import Disk, HddProfile
 from repro.simulator.frontend import FrontendProcess
@@ -112,6 +113,16 @@ class ClusterConfig:
         split = self.cache_split
         if len(split) != 3 or any(f < 0.0 for f in split) or sum(split) > 1.0 + 1e-9:
             raise ValueError("cache_split must be three fractions summing to <= 1")
+        # The chained comparisons are False for NaN and both infinities.
+        if not 0.0 <= self.scanner_rate < math.inf:
+            raise ValueError(
+                f"scanner_rate must be finite and >= 0, got {self.scanner_rate}"
+            )
+        if not 0.0 <= self.scanner_data_fraction < math.inf:
+            raise ValueError(
+                "scanner_data_fraction must be finite and >= 0, "
+                f"got {self.scanner_data_fraction}"
+            )
         from repro.simulator.frontend import READ_STRATEGIES
 
         if self.read_strategy not in READ_STRATEGIES:
@@ -217,11 +228,15 @@ class Cluster:
             )
 
         # Backend: three cache budgets per server (index slab, xattr,
-        # page cache), one disk + N_be processes per device.
-        self.caches: list[tuple[LruCache, LruCache, LruCache]] = [
-            tuple(
-                LruCache(int(frac * config.cache_bytes_per_server))
-                for frac in config.cache_split
+        # page cache), one disk + N_be processes per device.  Index and
+        # xattr entries have one size each and are keyed by object id.
+        n_objects = self.object_sizes.size
+        budgets = [int(f * config.cache_bytes_per_server) for f in config.cache_split]
+        self.caches: list[tuple[StampLru, StampLru, LruCache]] = [
+            (
+                StampLru(budgets[0], INDEX_ENTRY_BYTES, n_objects),
+                StampLru(budgets[1], META_ENTRY_BYTES, n_objects),
+                LruCache(budgets[2]),
             )
             for _ in range(config.n_backend_servers)
         ]
@@ -295,7 +310,10 @@ class Cluster:
                 disk.tracer = tracer
                 disk.trace_dev = d
             dev.on_write_ack = self._handle_write_ack
-            dev.scanner = self.scanners[server]
+            scanner = self.scanners[server]
+            if scanner is not None:
+                dev.scan = scanner.advance
+                self.sim.profile_span(dev, "scan")
             self.devices.append(dev)
 
         # Dispatch policy (docs/DISPATCH.md).  ``random`` maps to None:
@@ -517,7 +535,7 @@ class Cluster:
         # Caches are shared per *server*; group the stream per server in
         # access order.  Per cache this preserves the exact access
         # subsequence the scalar warm_one loop would produce.  Fresh
-        # (empty) caches take the O(resident-set) tail-install shortcut;
+        # (empty) caches install the replay's final state directly;
         # already-populated caches fall back to the full batched replay.
         servers = dev_ids // self.config.devices_per_server
 
@@ -533,14 +551,11 @@ class Cluster:
             objs = obj_arr.tolist()
             ncs = n_chunks[sel].tolist()
             lasts = last_bytes[sel].tolist()
-            if len(idx_cache) == 0:
-                idx_cache.install_tail_uniform(obj_arr, INDEX_ENTRY_BYTES)
-            else:
-                idx_cache.access_many(objs, INDEX_ENTRY_BYTES)
-            if len(meta_cache) == 0:
-                meta_cache.install_tail_uniform(obj_arr, META_ENTRY_BYTES)
-            else:
-                meta_cache.access_many(objs, META_ENTRY_BYTES)
+            for cache in (idx_cache, meta_cache):
+                if len(cache) == 0:
+                    cache.install_tail(obj_arr)
+                else:
+                    cache.access_many(obj_arr)
             if len(data_cache) == 0:
                 data_cache.install_tail_reversed(rev_data_pairs(objs, ncs, lasts))
             else:

@@ -95,6 +95,9 @@ class Simulator:
         "_lanes",
         "_names",
         "_prof",
+        "_spans",
+        "_span_cells",
+        "_nested",
     )
 
     def __init__(self) -> None:
@@ -114,6 +117,13 @@ class Simulator:
         # the handler table unwrapped).
         self._names: list[str] = ["<dynamic>"]
         self._prof: list[list] | None = None
+        # Profile spans: ``(owner, attr)`` call sites timed as rows of
+        # their own (profile_span), their ``[name, calls, secs]`` cells,
+        # and the running total of span seconds, which handler wrappers
+        # subtract from their own row.
+        self._spans: list[tuple[object, str]] = []
+        self._span_cells: list[list] = []
+        self._nested = [0.0]
 
     @staticmethod
     def _invoke(fn, args) -> None:
@@ -135,7 +145,7 @@ class Simulator:
             # enable_profile wrapped the table it found.
             cell = [0, 0.0]
             self._prof.append(cell)
-            handler = self._wrap(handler, cell)
+            handler = self._wrap(handler, cell, self._nested)
         self._handlers.append(handler)
         return len(self._handlers) - 1
 
@@ -143,14 +153,46 @@ class Simulator:
     # kernel time profiler (opt-in)
     # ------------------------------------------------------------------
     @staticmethod
-    def _wrap(fn: Callable, cell: list) -> Callable:
-        def timed(a, b, _fn=fn, _cell=cell, _pc=perf_counter):
+    def _wrap(fn: Callable, cell: list, nested: list) -> Callable:
+        def timed(a, b, _fn=fn, _cell=cell, _nested=nested, _pc=perf_counter):
+            n0 = _nested[0]
             t0 = _pc()
             _fn(a, b)
             _cell[0] += 1
-            _cell[1] += _pc() - t0
+            _cell[1] += _pc() - t0 - (_nested[0] - n0)
         timed.__wrapped__ = fn
         return timed
+
+    def _wrap_span(self, owner, attr: str) -> None:
+        fn = getattr(owner, attr)
+        cell = [getattr(fn, "__qualname__", None) or repr(fn), 0, 0.0]
+        self._span_cells.append(cell)
+
+        def timed(*args, _fn=fn, _cell=cell, _nested=self._nested, _pc=perf_counter):
+            t0 = _pc()
+            out = _fn(*args)
+            dt = _pc() - t0
+            _cell[1] += 1
+            _cell[2] += dt
+            _nested[0] += dt
+            return out
+        timed.__wrapped__ = fn
+        setattr(owner, attr, timed)
+
+    def profile_span(self, owner, attr: str) -> None:
+        """Give calls through ``owner.<attr>`` a profile row of their own.
+
+        For work a handler runs inline on behalf of another component
+        (the backend's lazy maintenance scan inside ``connect``).  While
+        profiling is on, the attribute holds a timing wrapper; its row is
+        named after the callable's ``__qualname__`` and counts calls, and
+        the enclosing handler's row excludes the time, so the rows still
+        sum to the handler total.  With profiling off registration only
+        records the site.
+        """
+        self._spans.append((owner, attr))
+        if self._prof is not None:
+            self._wrap_span(owner, attr)
 
     def enable_profile(self) -> "Simulator":
         """Switch on per-opcode wall-time attribution (idempotent).
@@ -159,7 +201,8 @@ class Simulator:
         timing wrapper (``perf_counter`` delta + event count), so the
         run loop stays untouched: profiling costs nothing when off and
         two clock reads per event when on.  Handlers registered after
-        enabling are wrapped on registration.
+        enabling are wrapped on registration; so are the call sites of
+        :meth:`profile_span`.
 
         Wrappers change no simulated quantity -- event order, RNG
         consumption and handler effects are exactly those of the bare
@@ -172,8 +215,10 @@ class Simulator:
         for op, fn in enumerate(self._handlers):
             cell = [0, 0.0]
             cells.append(cell)
-            self._handlers[op] = self._wrap(fn, cell)
+            self._handlers[op] = self._wrap(fn, cell, self._nested)
         self._prof = cells
+        for owner, attr in self._spans:
+            self._wrap_span(owner, attr)
         return self
 
     def profile_snapshot(self) -> list[dict]:
@@ -181,8 +226,11 @@ class Simulator:
 
         Per-instance registrations sharing a ``__qualname__`` (e.g. one
         opcode per frontend) collapse into one row; rows are sorted by
-        total wall seconds descending.  Empty list when profiling is off
-        or no event has run yet.
+        total wall seconds descending.  A :meth:`profile_span` row runs
+        inside other handlers' events, so it has ``events`` 0 (the
+        ``events`` column still sums to the kernel's event count) and a
+        ``calls`` count instead.  Empty list when profiling is off or no
+        event has run yet.
         """
         if self._prof is None:
             return []
@@ -194,6 +242,14 @@ class Simulator:
                 name, {"name": name, "events": 0, "total_s": 0.0}
             )
             row["events"] += events
+            row["total_s"] += secs
+        for name, calls, secs in self._span_cells:
+            if calls == 0:
+                continue
+            row = by_name.setdefault(
+                name, {"name": name, "events": 0, "total_s": 0.0, "calls": 0}
+            )
+            row["calls"] += calls
             row["total_s"] += secs
         rows = list(by_name.values())
         rows.sort(key=lambda r: (-r["total_s"], r["name"]))

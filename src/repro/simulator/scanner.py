@@ -32,13 +32,9 @@ import math
 
 import numpy as np
 
-from repro.simulator.cache import LruCache
+from repro.simulator.cache import LruCache, StampLru
 
 __all__ = ["MaintenanceScanner"]
-
-#: Entry sizes must match the request path's so scan entries displace
-#: request entries one-for-one.
-from repro.simulator.backend import INDEX_ENTRY_BYTES, META_ENTRY_BYTES
 
 #: Upper bound on touches applied per kind in one lazy advance (guards a
 #: long idle gap; after a full cache turnover more touches are moot).
@@ -85,39 +81,15 @@ class _Walk:
         self.pos = (self.pos + self.stride) % self.n
         return out
 
-    def steps(self, count: int) -> list[int]:
-        """The next ``count`` positions in one batched draw.
-
-        Identical to ``count`` successive :meth:`step` calls, without
-        the per-touch Python call.  Small batches use a plain loop with
-        a conditional wrap (numpy setup cost dominates below ~64
-        touches, measured); larger ones go through ``arange``.
-        """
+    def steps(self, count: int) -> np.ndarray:
+        """The next ``count`` positions (int64) in one batched draw;
+        identical to ``count`` successive :meth:`step` calls."""
         pos, stride, n = self.pos, self.stride, self.n
-        if stride == 1:
-            # Sequential walk: one or two C-level ranges.
-            end = pos + count
-            self.pos = end % n
-            if end <= n:
-                return list(range(pos, end))
-            out = list(range(pos, n))
-            whole, extra = divmod(end - n, n)
-            for _ in range(whole):
-                out.extend(range(n))
-            out.extend(range(extra))
-            return out
-        if count > 64:
-            out = ((pos + stride * np.arange(count, dtype=np.int64)) % n).tolist()
-            self.pos = int((pos + stride * count) % n)
-            return out
-        out = []
-        append = out.append
-        for _ in range(count):
-            append(pos)
-            pos += stride
-            if pos >= n:
-                pos -= n
-        self.pos = pos
+        end = pos + stride * count
+        self.pos = end % n
+        out = np.arange(pos, end, stride, dtype=np.int64)
+        if end - stride >= n:  # the walk wraps inside this batch
+            np.remainder(out, n, out=out)
         return out
 
 
@@ -143,8 +115,8 @@ class MaintenanceScanner:
 
     def __init__(
         self,
-        index_cache: LruCache,
-        meta_cache: LruCache,
+        index_cache: StampLru,
+        meta_cache: StampLru,
         data_cache: LruCache | None,
         object_sizes: np.ndarray,
         chunk_bytes: int,
@@ -155,8 +127,12 @@ class MaintenanceScanner:
         phase: int = 0,
         chunk_geometry: tuple[list[int], list[int]] | None = None,
     ) -> None:
-        if rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0, got {rate}")
+        if not 0.0 <= data_rate_fraction < math.inf:
+            raise ValueError(
+                f"data_rate_fraction must be finite and >= 0, got {data_rate_fraction}"
+            )
         n = int(object_sizes.size)
         if n < 1:
             raise ValueError("need at least one object")
@@ -203,13 +179,13 @@ class MaintenanceScanner:
         walk = self._index_walk
         count = walk.take(budget)
         if count:
-            self.index_cache.access_many(walk.steps(count), INDEX_ENTRY_BYTES)
+            self.index_cache.access_many(walk.steps(count))
             self.touches += count
 
         walk = self._meta_walk
         count = walk.take(budget)
         if count:
-            self.meta_cache.access_many(walk.steps(count), META_ENTRY_BYTES)
+            self.meta_cache.access_many(walk.steps(count))
             self.touches += count
 
         if self.data_cache is not None:
@@ -221,7 +197,7 @@ class MaintenanceScanner:
                 last = self._last_chunk
                 pairs = []
                 append = pairs.append
-                for obj in walk.steps(count):
+                for obj in walk.steps(count).tolist():
                     nc = n_chunks[obj]
                     if nc == 1:  # dominant: most objects fit one chunk
                         append(((obj, 0), last[obj]))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import calibrate, run_sweep, scenario_s1
-from repro.simulator.cache import LruCache
+from repro.simulator.cache import LruCache, StampLru
 from repro.simulator.ring import HashRing
 from repro.simulator.rng import BufferedIntegers
 from repro.simulator.scanner import _Walk
@@ -119,15 +119,21 @@ def cache_state(c):
     return (list(c._entries.items()), c.used_bytes, c.hits, c.misses)
 
 
+def stamp_state(c):
+    """:func:`cache_state` of a :class:`StampLru`, entries with sizes."""
+    entries = [(k, c.entry_bytes) for k in c.state().tolist()]
+    return (entries, c.used_bytes, c.hits, c.misses)
+
+
 class TestCacheBatchEquivalence:
     @pytest.mark.parametrize("cap", [0, 96, 1024])
     def test_access_many_uniform(self, cap):
         rng = np.random.default_rng(cap + 1)
         keys = rng.integers(40, size=300).tolist()
         ref = replay_reference(cap, [(k, 32) for k in keys])
-        batched = LruCache(cap)
-        hits = batched.access_many(keys, 32)
-        assert cache_state(batched) == cache_state(ref)
+        batched = StampLru(cap, 32, 40)
+        hits = batched.access_many(keys)
+        assert stamp_state(batched) == cache_state(ref)
         assert hits == ref.hits
 
     @pytest.mark.parametrize("cap", [0, 200, 4096])
@@ -150,9 +156,10 @@ class TestCacheBatchEquivalence:
         size = int(rng.integers(0, 70))
         keys = rng.integers(50, size=int(rng.integers(1, 500))).tolist()
         ref = replay_reference(cap, [(k, size) for k in keys])
-        tail = LruCache(cap)
-        tail.install_tail_uniform(keys, size)
-        assert list(tail._entries.items()) == list(ref._entries.items())
+        tail = StampLru(cap, size, 50)
+        tail.install_tail(keys)
+        entries = [(k, size) for k in tail.state().tolist()]
+        assert entries == list(ref._entries.items())
         assert tail.used_bytes == ref.used_bytes
 
     @pytest.mark.parametrize("trial", range(20))
@@ -170,10 +177,12 @@ class TestCacheBatchEquivalence:
         assert tail.used_bytes == ref.used_bytes
 
     def test_install_tail_requires_empty(self):
+        c = StampLru(100, 10, 4)
+        c.access(3, 10)
+        with pytest.raises(ValueError):
+            c.install_tail([0])
         c = LruCache(100)
         c.access("x", 10)
-        with pytest.raises(ValueError):
-            c.install_tail_uniform(["a"], 1)
         with pytest.raises(ValueError):
             c.install_tail_reversed([("a", 1)])
 
@@ -202,8 +211,8 @@ class TestWalkBatching:
     def test_steps_matches_scalar_step(self, n, stride, count):
         a = _Walk(n, stride, phase=5, speed=1.0)
         b = _Walk(n, stride, phase=5, speed=1.0)
-        assert a.steps(count) == [b.step() for _ in range(count)]
+        assert a.steps(count).tolist() == [b.step() for _ in range(count)]
         assert a.pos == b.pos
         # And again from the advanced position (wrap state carries over).
-        assert a.steps(count) == [b.step() for _ in range(count)]
+        assert a.steps(count).tolist() == [b.step() for _ in range(count)]
         assert a.pos == b.pos

@@ -224,6 +224,33 @@ class TestScanner:
         )
         assert all(s is None for s in cl.scanners)
 
+    @pytest.mark.parametrize(
+        "field", ["scanner_rate", "scanner_data_fraction"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_config_rejects_bad_scanner_inputs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["rate", "data_rate_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_scanner_rejects_bad_inputs(self, field, value):
+        from repro.simulator.cache import LruCache, StampLru
+        from repro.simulator.scanner import MaintenanceScanner
+
+        kwargs = {"rate": 100.0, "data_rate_fraction": 0.5, field: value}
+        rate = kwargs.pop("rate")
+        with pytest.raises(ValueError, match=field):
+            MaintenanceScanner(
+                StampLru(1024, 256, 10),
+                StampLru(1024, 256, 10),
+                LruCache(1024),
+                np.full(10, 4096),
+                65536,
+                rate,
+                **kwargs,
+            )
+
 
 class TestStateSummary:
     def test_idle_state(self, small_catalog):

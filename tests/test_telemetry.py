@@ -20,7 +20,9 @@ import dataclasses
 import json
 import math
 import os
+import types
 from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -275,6 +277,39 @@ class TestKernelProfiler:
         a.sim.enable_profile()
         b = _mini_cluster()
         assert _drive(a) == _drive(b)
+        # The episode is scanned: the lazy maintenance scan has its own
+        # row, which carries calls and no kernel events of its own.
+        assert a.config.scanner_rate > 0.0
+        rows = {r["name"]: r for r in a.sim.profile_snapshot()}
+        scan = rows["MaintenanceScanner.advance"]
+        assert scan["calls"] >= rows["StorageDevice.connect"]["events"] > 0
+        assert scan["events"] == 0 and scan["total_s"] > 0.0
+        assert sum(r["events"] for r in rows.values()) == a.sim.events_scheduled
+        # Profiling off leaves the bound method in place: no wrapper.
+        assert b.devices[0].scan == b.scanners[0].advance
+
+    def test_span_time_leaves_the_enclosing_handler(self):
+        def burn(now):
+            t0 = perf_counter()
+            while perf_counter() - t0 < 0.002:
+                pass
+
+        sim = Simulator()
+        site = types.SimpleNamespace(burn=burn)
+        sim.profile_span(site, "burn")
+        assert site.burn is burn  # registration alone wraps nothing
+        op = sim.register(lambda a, b: site.burn(sim.now))
+        sim.enable_profile()
+        for i in range(5):
+            sim.schedule_op(0.1 * i, op, i)
+        sim.run_until_idle()
+        rows = sim.profile_snapshot()
+        span = next(r for r in rows if r["name"].endswith("burn"))
+        handler = next(r for r in rows if r is not span)
+        assert (span["calls"], span["events"]) == (5, 0)
+        assert handler["events"] == 5
+        assert span["total_s"] >= 0.01
+        assert handler["total_s"] < 0.5 * span["total_s"]
 
     def test_merge_render_and_doc(self, tmp_path):
         rows_a = [{"name": "x", "events": 12, "total_s": 0.6}]
