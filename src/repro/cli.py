@@ -47,11 +47,6 @@ Subcommands:
     progress, merged p50/p90/p99-so-far, straggler flags (see
     docs/OBSERVABILITY.md, "Fleet telemetry").
 
-``bench [--quick] [--kernels sim_dispatch,...] [--check BENCH_perf.json]``
-    Run the performance regression harness (sweep timing plus engine
-    micro-kernels; see docs/PERFORMANCE.md).  ``--check`` compares
-    against a committed baseline and fails on regression.
-
 The JSON schema mirrors :class:`~repro.model.SystemParameters`::
 
     {
@@ -324,45 +319,6 @@ def _cmd_dispatch(args) -> int:
     sidecar = write_manifest(manifest, out)
     print(f"\nwrote {out} (+ {sidecar.name})")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    """Run the perf harness (``benchmarks/perf/run_perf.py``) in-process.
-
-    The harness lives outside the installable package (it times the
-    repository's committed baseline, not the library), so it is loaded
-    from the source checkout by path; running ``cosmodel bench`` from an
-    installed wheel without the repository reports an error instead of
-    guessing.
-    """
-    import importlib.util
-    import pathlib
-
-    script = (
-        pathlib.Path(__file__).resolve().parents[2]
-        / "benchmarks"
-        / "perf"
-        / "run_perf.py"
-    )
-    if not script.exists():
-        print(
-            f"perf harness not found at {script}; "
-            "'cosmodel bench' needs a source checkout",
-            file=sys.stderr,
-        )
-        return 2
-    spec = importlib.util.spec_from_file_location("repro_perf_harness", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-
-    argv = ["--kernels", args.kernels, "--jobs", str(args.jobs)]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv += ["--check", args.check, "--check-factor", str(args.check_factor)]
-    if args.out:
-        argv += ["--out", args.out]
-    return module.main(argv)
 
 
 def _cmd_inspect(args) -> int:
@@ -1005,34 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the sweep artifact JSON here")
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the perf regression harness (benchmarks/perf/run_perf.py)",
-    )
-    p.add_argument("--quick", action="store_true", help="2 rate points per scenario")
-    p.add_argument("--jobs", type=int, default=4, help="worker pool size (default 4)")
-    p.add_argument(
-        "--kernels",
-        default="all",
-        metavar="NAMES",
-        help="comma-separated micro-kernels to run (default: all)",
-    )
-    p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="compare against a baseline BENCH_perf.json; exit 1 on regression",
-    )
-    p.add_argument(
-        "--check-factor",
-        type=float,
-        default=2.0,
-        metavar="FACTOR",
-        help="regression tolerance for --check (default 2.0)",
-    )
-    p.add_argument("--out", default=None, help="output JSON path")
-    p.set_defaults(func=_cmd_bench)
 
     for name, func, help_text in (
         ("fig5", _cmd_fig5, "disk service-time fits"),

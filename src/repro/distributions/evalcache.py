@@ -113,7 +113,7 @@ def clear() -> None:
 def stats() -> dict:
     """Hit/miss/eviction counters and cache sizes.
 
-    Consumed by the perf harness and stamped into run manifests, so the
+    Read by the benchmark's traced runs and stamped into run manifests, so the
     provenance record of an artifact shows how hard the memo layer
     worked (and whether the LRU bound was ever hit).
     """

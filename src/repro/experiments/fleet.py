@@ -120,7 +120,7 @@ class FleetScenario:
     #: Fleet telemetry (sampled tracing / live shard streaming / kernel
     #: profiler); ``None`` means fully silent.  All three facilities are
     #: bit-identity-preserving: the merged recorder state is the same
-    #: with telemetry on or off (pinned by tests and the perf kernels).
+    #: with telemetry on or off (pinned by ``tests/test_telemetry.py``).
     telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:

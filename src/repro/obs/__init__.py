@@ -1,6 +1,6 @@
-"""Observability plane: tracing, streaming histograms, manifests, profiling.
+"""Observability plane: tracing, streaming histograms, manifests, diagnostics.
 
-Four cooperating, individually-optional facilities that make a run
+Cooperating, individually-optional facilities that make a run
 diagnosable after the fact:
 
 * :mod:`repro.obs.trace` -- per-request span tracing through the
@@ -16,8 +16,6 @@ diagnosable after the fact:
 * :mod:`repro.obs.manifest` -- provenance sidecars for experiment
   artifacts: git SHA, seed, config hash, package versions, wall/CPU
   time and evaluation-cache counters.
-* :mod:`repro.obs.profiling` -- per-stage wall timers and counters for
-  the model evaluation pipeline.
 * :mod:`repro.obs.diagnostics` -- *model-side* diagnostics: a
   :class:`~repro.obs.diagnostics.DiagnosticsSession` that collects
   per-inversion convergence telemetry (self-error, cross-method
@@ -52,7 +50,6 @@ from repro.obs.diagnostics import (
 from repro.obs.events import EventLog, follow, read_events, render_events
 from repro.obs.hist import LatencyHistogram
 from repro.obs.manifest import build_manifest, manifest_path_for, write_manifest
-from repro.obs.profiling import StageProfiler
 from repro.obs.telemetry import (
     SampledTracer,
     ShardStreamer,
@@ -80,7 +77,6 @@ __all__ = [
     "build_manifest",
     "write_manifest",
     "manifest_path_for",
-    "StageProfiler",
     "DiagnosticsSession",
     "InversionRecord",
     "current_session",

@@ -9,7 +9,7 @@ artifacts starts from the manifests: same commit?  same seed?  same
 config hash?  how much of the model evaluation was served from cache?
 
 Nothing here imports the simulator; the manifest layer has to stay
-importable from any artifact writer, including the perf harness.
+importable from any artifact writer.
 """
 
 from __future__ import annotations

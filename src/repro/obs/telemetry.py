@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -234,6 +235,17 @@ class TelemetryConfig:
     bus_path: str | None = None
     stream_interval: float = 0.5
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.trace_sample_rate <= 1.0:
+            raise ValueError(
+                f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
+            )
+        if not 0.0 <= self.stream_interval < math.inf:
+            raise ValueError(
+                "stream_interval must be finite and >= 0, "
+                f"got {self.stream_interval}"
+            )
 
     @property
     def tracing(self) -> bool:

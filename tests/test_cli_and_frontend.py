@@ -117,8 +117,9 @@ class TestCliMain:
         assert "odopr" in capsys.readouterr().out
 
     def test_parser_rejects_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        for cmd in ("frobnicate", "bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([cmd])
 
     def test_parser_accepts_artifact_commands(self):
         for cmd in ("fig5", "fig6", "fig7", "tables", "ablations"):

@@ -1,4 +1,4 @@
-"""Observability layer: histogram store, tracer, manifests, profiler,
+"""Observability layer: histogram store, tracer, manifests,
 ``cosmodel report`` -- plus the latent-bug regression tests that rode
 along in the same change (empty-window NaN, memoised Wilson ``z``,
 bounded eval cache).
@@ -23,7 +23,6 @@ import pytest
 from repro.distributions import evalcache
 from repro.obs import (
     LatencyHistogram,
-    StageProfiler,
     Tracer,
     build_manifest,
     manifest_path_for,
@@ -272,7 +271,7 @@ class TestHistogramModeRecorder:
 
 
 # ----------------------------------------------------------------------
-# manifests + profiler
+# manifests
 # ----------------------------------------------------------------------
 
 
@@ -302,25 +301,6 @@ class TestManifest:
     def test_config_hash_stable_and_discriminating(self, system_params):
         assert config_hash(system_params) == config_hash(system_params)
         assert config_hash({"a": 1}) != config_hash({"a": 2})
-
-
-class TestStageProfiler:
-    def test_stages_counters_and_snapshot(self):
-        prof = StageProfiler()
-        with prof.stage("build"):
-            pass
-        with prof.stage("build"):
-            pass
-        with prof.stage("invert"):
-            prof.count("nodes", 24)
-        snap = prof.snapshot()
-        assert snap["stages"]["build"]["calls"] == 2
-        assert snap["stages"]["invert"]["wall_s"] >= 0.0
-        assert snap["counters"] == {"nodes": 24}
-        assert "hits" in snap["evalcache_delta"]
-        rows = prof.report_rows()
-        assert {name for name, _, _ in rows} == {"build", "invert"}
-        assert "stage" in prof.render()
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ Covers docs/OBSERVABILITY.md "Fleet telemetry":
 * the deterministic head-based sampling hash (scalar == vectorised,
   shard-plan-invariant, edge rates);
 * :class:`SampledTracer` tracing exactly the hashed requests;
+* :class:`TelemetryConfig` rejecting a sample rate outside [0, 1] and
+  a non-finite or negative stream interval;
 * bit-identity of the simulated state under every telemetry facility;
 * :class:`ShardStreamer` snapshot deltas summing to the final totals in
   both latency-store modes;
@@ -154,6 +156,37 @@ class TestSampledTracerCluster:
 
 
 # ----------------------------------------------------------------------
+# configuration validation
+# ----------------------------------------------------------------------
+
+
+class TestTelemetryConfigValidation:
+    @pytest.mark.parametrize("rate", [math.nan, -0.1, 1.5])
+    def test_rejects_sample_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="trace_sample_rate"):
+            TelemetryConfig(trace_sample_rate=rate)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_stream_interval(self, interval):
+        with pytest.raises(ValueError, match="stream_interval"):
+            TelemetryConfig(stream_interval=interval)
+
+    def test_accepts_edges(self):
+        assert TelemetryConfig(trace_sample_rate=1.0, stream_interval=0.0).tracing
+        assert not TelemetryConfig(trace_sample_rate=0.0).tracing
+
+    def test_cli_rejects_nan_sample_before_running(self, monkeypatch):
+        from repro.cli import main
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(fleet_mod, "run_fleet", no_episode)
+        with pytest.raises(ValueError, match="trace_sample_rate"):
+            main(["fleet", "--sample", "nan"])
+
+
+# ----------------------------------------------------------------------
 # fleet integration: invariance and bit-identity
 # ----------------------------------------------------------------------
 
@@ -170,8 +203,10 @@ class TestFleetTelemetry:
         def sampled(shards, jobs, sub):
             tdir = tmp_path / sub
             tdir.mkdir()
+            bus = tmp_path / f"{sub}-bus.jsonl"
             telem = TelemetryConfig(
-                trace_sample_rate=0.05, trace_seed=11, trace_dir=str(tdir)
+                trace_sample_rate=0.05, trace_seed=11, trace_dir=str(tdir),
+                bus_path=str(bus), stream_interval=0.1, profile=True,
             )
             res = run_fleet(
                 dataclasses.replace(_FLEET, telemetry=telem),
@@ -182,6 +217,11 @@ class TestFleetTelemetry:
                 for r in merge_shard_traces(tdir)
                 if "rid" in r
             )
+            finished = [
+                e for e in read_events(bus, strict=False)
+                if e["event"] == "shard_finished"
+            ]
+            assert len(finished) == _FLEET.n_clusters
             return res, rids
 
         serial, rids_serial = sampled(None, None, "serial")
@@ -191,6 +231,8 @@ class TestFleetTelemetry:
         assert rids_serial == rids_pooled
         assert rids_serial  # 5% of ~1200 requests: must sample something
         assert len(serial.trace_paths) == _FLEET.n_clusters
+        # The profiler attributes every event of the pooled run too.
+        assert sum(r["events"] for r in pooled.profile) == pooled.events
 
     def test_streaming_deltas_sum_to_totals(self, tmp_path):
         for store in ("exact", "histogram"):
