@@ -12,11 +12,16 @@ means "not cacheable" (e.g. a :class:`TransformDistribution` wrapping an
 opaque closure without an explicit token) and evaluation falls through
 uncached.
 
-Caches are bounded LRUs; cached arrays are returned read-only so a hit
-can be handed out without copying.  Determinism note: a cache hit
-returns exactly what the original evaluation produced, so memoisation
-can never change results -- which the parallel-vs-serial bit-identity
-test relies on.
+Caches are LRUs bounded twice: by entry count (:data:`MAX_ENTRIES`)
+and by the bytes of the arrays they hold (:data:`MAX_BYTES`), each per
+cache.  The byte bound is the one that matters for memory: an inversion
+at thousands of points leaves a node-value array of a few megabytes per
+composite node, which an entry bound alone lets pile up to hundreds of
+megabytes.  Cached arrays are returned read-only so a hit can be handed
+out without copying.  Determinism note: a cache hit returns exactly what
+the original evaluation produced, and an eviction only means the value
+is recomputed, so memoisation can never change results -- which the
+parallel-vs-serial bit-identity test relies on.
 """
 
 from __future__ import annotations
@@ -38,20 +43,92 @@ __all__ = [
     "set_max_entries",
 ]
 
-#: Per-cache entry bound.  Entries are small (arrays of quadrature-node
-#: values, grid PMFs of a few thousand floats), so the memory ceiling is
-#: a few tens of megabytes in the worst case.  Adjustable at runtime via
+#: Per-cache entry bound.  Adjustable at runtime via
 #: :func:`set_max_entries` (long parameter sweeps may want it smaller).
 MAX_ENTRIES = 4096
 
+#: Per-cache bound on the bytes of the cached values (``ndarray.nbytes``,
+#: or ``probs.nbytes`` for a grid PMF; the ``s`` payload inside the keys
+#: is shared per inversion and not charged).  A value larger than this
+#: is returned but not stored.  A kofn@2 query's hits reach back at most
+#: ~39 MB of more recently used entries; at 32 MiB it loses 42 of its
+#: 552 hits and runs slower, at 64 MiB it loses none.
+MAX_BYTES = 64 * 2**20
+
+
+def _charge(value) -> int:
+    """Bytes an entry is charged: its array payload, else 0."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    probs = getattr(value, "probs", None)
+    return probs.nbytes if isinstance(probs, np.ndarray) else 0
+
+
+class _Lru:
+    """An LRU bounded by the entry bound (:func:`set_max_entries`) and
+    by :data:`MAX_BYTES` of held value arrays."""
+
+    __slots__ = ("_entries", "nbytes", "hits", "misses", "evictions")
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The cached value (now most recent) or ``None``; counts a hit."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
+
+    def put(self, key, value) -> None:
+        """Store ``value`` under ``key``, counting a miss, then trim.
+
+        Storing a held key replaces its value and its charge in place.
+        """
+        self.misses += 1
+        entries = self._entries
+        charge = _charge(value)
+        if charge > MAX_BYTES:
+            old = entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= old[1]
+            return
+        n = len(entries)
+        entries[key] = (value, charge)  # one hash of the (deep) key
+        if len(entries) == n:  # a held key: recount rather than hash twice
+            self.nbytes = sum(c for _, c in entries.values())
+        else:
+            self.nbytes += charge
+        if len(entries) > _max_entries or self.nbytes > MAX_BYTES:
+            self.trim()
+
+    def trim(self) -> None:
+        """Evict least-recent entries until both bounds hold."""
+        entries = self._entries
+        while len(entries) > _max_entries or self.nbytes > MAX_BYTES:
+            self.nbytes -= entries.popitem(last=False)[1][1]
+            self.evictions += 1
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+
 _enabled = True
 _max_entries = MAX_ENTRIES
-_laplace: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_grids: OrderedDict[tuple, object] = OrderedDict()
-_inversions: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_hits = 0
-_misses = 0
-_evictions = 0
+_laplace = _Lru()
+_grids = _Lru()
+_inversions = _Lru()
+_caches = (_laplace, _grids, _inversions)
 _calls = {"laplace": 0, "grid": 0, "inversion": 0}
 
 
@@ -87,47 +164,44 @@ def bypass():
 
 def set_max_entries(n: int) -> None:
     """Re-bound each LRU to ``n`` entries, evicting immediately if over."""
-    global _max_entries, _evictions
+    global _max_entries
     if n < 1:
         raise ValueError(f"max entries must be >= 1, got {n}")
     _max_entries = int(n)
-    for cache in (_laplace, _grids, _inversions):
-        while len(cache) > _max_entries:
-            cache.popitem(last=False)
-            _evictions += 1
+    for cache in _caches:
+        cache.trim()
 
 
 def clear() -> None:
     """Drop every cached evaluation."""
-    global _hits, _misses, _evictions
-    _laplace.clear()
-    _grids.clear()
-    _inversions.clear()
-    _hits = 0
-    _misses = 0
-    _evictions = 0
+    for cache in _caches:
+        cache.clear()
     for k in _calls:
         _calls[k] = 0
 
 
 def stats() -> dict:
-    """Hit/miss/eviction counters and cache sizes.
+    """Hit/miss/eviction counters, cache sizes and held bytes.
 
     Read by the benchmark's traced runs and stamped into run manifests, so the
     provenance record of an artifact shows how hard the memo layer
-    worked (and whether the LRU bound was ever hit).
+    worked, how much memory it held, and whether a bound was ever hit.
     """
     return {
-        "hits": _hits,
-        "misses": _misses,
-        "evictions": _evictions,
+        "hits": sum(c.hits for c in _caches),
+        "misses": sum(c.misses for c in _caches),
+        "evictions": sum(c.evictions for c in _caches),
         "max_entries": _max_entries,
+        "max_bytes": MAX_BYTES,
         "laplace_calls": _calls["laplace"],
         "grid_calls": _calls["grid"],
         "inversion_calls": _calls["inversion"],
         "laplace_entries": len(_laplace),
         "grid_entries": len(_grids),
         "inversion_entries": len(_inversions),
+        "laplace_bytes": _laplace.nbytes,
+        "grid_bytes": _grids.nbytes,
+        "inversion_bytes": _inversions.nbytes,
     }
 
 
@@ -173,7 +247,7 @@ def _validate_token(dist, token) -> None:
 
     A ``cache_token()`` that returns an unhashable value (a list, a bare
     ndarray, ...) would otherwise surface as an anonymous ``TypeError``
-    deep inside ``OrderedDict.get`` -- or worse, a token built from a
+    deep inside the LRU's dict lookup -- or worse, a token built from a
     *mutable* object could hash differently between store and lookup and
     silently serve stale results.  Name the offending distribution type
     so the bug is attributable at the call site.
@@ -186,24 +260,6 @@ def _validate_token(dist, token) -> None:
             f"value {token!r}; tokens must be immutable value identities "
             "(return None to opt out of caching)"
         ) from exc
-
-
-def _lookup(cache: OrderedDict, key):
-    global _hits
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-        _hits += 1
-    return value
-
-
-def _store(cache: OrderedDict, key, value) -> None:
-    global _misses, _evictions
-    _misses += 1
-    cache[key] = value
-    while len(cache) > _max_entries:
-        cache.popitem(last=False)
-        _evictions += 1
 
 
 def laplace_eval(dist, s) -> np.ndarray:
@@ -220,12 +276,12 @@ def laplace_eval(dist, s) -> np.ndarray:
         return dist.laplace(s)
     _validate_token(dist, token)
     key = (token,) + _key_suffix(s)
-    value = _lookup(_laplace, key)
+    value = _laplace.get(key)
     if value is None:
         value = np.asarray(dist.laplace(s))
         if value.flags.writeable:
             value.setflags(write=False)
-        _store(_laplace, key, value)
+        _laplace.put(key, value)
     return value
 
 
@@ -254,12 +310,12 @@ def laplace_many(dists, s) -> list:
             continue
         _validate_token(dist, token)
         key = (token,) + suffix
-        value = _lookup(_laplace, key)
+        value = _laplace.get(key)
         if value is None:
             value = np.asarray(dist.laplace(s))
             if value.flags.writeable:
                 value.setflags(write=False)
-            _store(_laplace, key, value)
+            _laplace.put(key, value)
         append(value)
     return out
 
@@ -277,10 +333,10 @@ def cached_grid(dist, dt: float, n: int, compute):
         return compute()
     _validate_token(dist, token)
     key = (token, float(dt), int(n))
-    value = _lookup(_grids, key)
+    value = _grids.get(key)
     if value is None:
         value = compute()
-        _store(_grids, key, value)
+        _grids.put(key, value)
     return value
 
 
@@ -309,10 +365,10 @@ def cached_inversion(
     _validate_token(dist, token)
     t = np.ascontiguousarray(t, dtype=float)
     key = (token, method, int(terms), float(mollify_width), _pointwise, t.shape, t.tobytes())
-    value = _lookup(_inversions, key)
+    value = _inversions.get(key)
     if value is None:
         value = np.asarray(compute(), dtype=float)
         if value.flags.writeable:
             value.setflags(write=False)
-        _store(_inversions, key, value)
+        _inversions.put(key, value)
     return value

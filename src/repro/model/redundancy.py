@@ -211,9 +211,11 @@ class RedundantLatencyModel:
         # (shared) frontend queue.  Built once per device and shared by
         # every row containing it, so equal-law replicas batch through
         # the order-statistic node-sharing.
+        self._backends: dict[str, BackendModel] = {}
         self._races: dict[str, Distribution] = {}
         for dev in params.devices:
             backend = BackendModel.solve(dev, disk_queue=disk_queue)
+            self._backends[dev.name] = backend
             self._races[dev.name] = convolve(
                 accept_wait(backend.waiting_time, accept_mode),
                 backend.response_time,
@@ -284,7 +286,4 @@ class RedundantLatencyModel:
         # Utilisation is a property of each device's own queue; the
         # redundant race does not change it (probe load is already in
         # the observed rates the parameters were calibrated from).
-        return {
-            dev.name: BackendModel.solve(dev).utilization
-            for dev in self.params.devices
-        }
+        return {name: be.utilization for name, be in self._backends.items()}

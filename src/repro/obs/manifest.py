@@ -4,7 +4,7 @@ Every artifact the experiments write can carry a ``<artifact>.manifest
 .json`` sidecar recording what produced it: the git commit, the seed,
 a stable hash of the run configuration, the package versions, wall and
 CPU time, and the evaluation-cache counters (hits, misses, evictions,
-transform/inversion call counts).  A reviewer comparing two divergent
+transform/inversion call counts, bytes held per cache).  A reviewer comparing two divergent
 artifacts starts from the manifests: same commit?  same seed?  same
 config hash?  how much of the model evaluation was served from cache?
 

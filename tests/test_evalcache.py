@@ -10,15 +10,29 @@ contract can be broken used to fail silently or cryptically:
   computed would leave the token stale, so later evaluations could be
   served from cache entries describing the *old* samples.
 
-Both must now fail loudly at the point of the bug.
+Both must now fail loudly at the point of the bug.  The byte bound on
+the memo is checked here too: it may drop and recompute values, but it
+must never change an answer, nor lose a hit a kofn@2 query reuses.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.distributions import Empirical, Gamma, evalcache
+from repro.distributions import Degenerate, Empirical, Gamma, evalcache
+from repro.model import (
+    CacheMissRatios,
+    DeviceParameters,
+    DiskLatencyProfile,
+    FrontendParameters,
+    RedundantLatencyModel,
+    SystemParameters,
+    replica_sets_from_ring,
+)
+from repro.simulator.ring import HashRing
 
 
 @pytest.fixture(autouse=True)
@@ -208,3 +222,95 @@ class TestCompositeTokenMemo:
         warm = pickle.loads(pickle.dumps(conv))  # memo computed
         assert fresh.cache_token() == token
         assert warm.cache_token() == token
+
+
+def _kofn_params(loads):
+    """A system with one device per ``(rate, miss ratios)`` load."""
+    disk = DiskLatencyProfile(
+        index=Gamma(2.4, 140.0), meta=Gamma(1.8, 210.0), data=Gamma(2.0, 235.0)
+    )
+    return SystemParameters(
+        frontend=FrontendParameters(12, Degenerate(0.001)),
+        devices=tuple(
+            DeviceParameters(
+                f"dev{i}", rate, rate * 1.04, CacheMissRatios(*miss),
+                disk, Degenerate(0.0004), 1,
+            )
+            for i, (rate, miss) in enumerate(loads)
+        ),
+    )
+
+
+def _kofn_answers(params, rows) -> list:
+    model = RedundantLatencyModel(params, rows, strategy="kofn", fanout=2)
+    return [x.hex() for x in model.sla_percentiles([0.02, 0.05, 0.1])]
+
+
+#: One replica row of three equal devices: the cheapest kofn@2 query
+#: that still stores megabyte node arrays.
+_ROW = ((("dev0", "dev1", "dev2"), 1.0),)
+
+
+@pytest.fixture(scope="module")
+def kofn_reference():
+    """Answers and misses of the small query at the default ceiling,
+    and its answers with the memo bypassed."""
+    params = _kofn_params([(30.0, (0.4, 0.45, 0.7))] * 4)
+    evalcache.clear()
+    default = _kofn_answers(params, _ROW)
+    misses = evalcache.stats()["misses"]
+    evalcache.clear()
+    with evalcache.bypass():
+        bypassed = _kofn_answers(params, _ROW)
+    return params, default, misses, bypassed
+
+
+class TestByteBoundedKofn:
+    """A kofn@2 query inverts each replica at 4,096 grid points, so its
+    transform nodes hold megabyte arrays: the byte bound is what keeps
+    the memo small, and it must never change an answer."""
+
+    @pytest.mark.parametrize("max_bytes", [1 << 20, 4 << 20])
+    def test_tight_ceiling_answers_bit_identical(
+        self, monkeypatch, kofn_reference, max_bytes
+    ):
+        params, default, default_misses, bypassed = kofn_reference
+        assert default == bypassed
+        monkeypatch.setattr(evalcache, "MAX_BYTES", max_bytes)
+        assert _kofn_answers(params, _ROW) == default
+        stats = evalcache.stats()
+        # Values were dropped and recomputed: the 1 MiB ceiling refuses
+        # every node array outright, the 4 MiB one evicts them.
+        assert stats["misses"] > default_misses
+        assert stats["laplace_bytes"] <= max_bytes
+        if max_bytes == 4 << 20:
+            assert stats["evictions"] > 0
+
+    def test_default_ceiling_loses_no_hits(self, monkeypatch):
+        """Over four distinct devices, hits of this query reach back
+        ~39 MB of newer entries; at 32 MiB it loses 42 of them.  The
+        default ceiling must keep every hit an unbounded memo gets."""
+        params = _kofn_params(
+            [
+                (18.0, (0.35, 0.40, 0.72)),
+                (24.0, (0.40, 0.45, 0.70)),
+                (30.0, (0.33, 0.50, 0.80)),
+                (12.0, (0.45, 0.38, 0.75)),
+            ]
+        )
+        ring = HashRing(64, 4, 3, np.random.default_rng(5))
+        rows = replica_sets_from_ring(ring, [d.name for d in params.devices])
+
+        def counters():
+            evalcache.clear()
+            answers = _kofn_answers(params, rows)
+            stats = evalcache.stats()
+            return answers, stats["hits"], stats["misses"], stats["laplace_bytes"]
+
+        ceiling = evalcache.MAX_BYTES
+        *bounded, held = counters()
+        assert held <= ceiling
+        monkeypatch.setattr(evalcache, "MAX_BYTES", sys.maxsize)
+        *unbounded, held = counters()
+        assert unbounded == bounded
+        assert held > ceiling  # the default ceiling did bind

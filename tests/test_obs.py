@@ -293,7 +293,15 @@ class TestManifest:
         assert doc["seed"] == 7
         assert doc["config_hash"] == config_hash({"scale": "ci"})
         assert doc["versions"]["numpy"]
-        assert set(doc["evalcache"]) >= {"hits", "misses", "evictions"}
+        assert set(doc["evalcache"]) >= {
+            "hits",
+            "misses",
+            "evictions",
+            "laplace_bytes",
+            "grid_bytes",
+            "inversion_bytes",
+            "max_bytes",
+        }
         sidecar = write_manifest(doc, artifact)
         assert sidecar == manifest_path_for(artifact)
         assert json.loads(sidecar.read_text())["extra"] == {"note": "unit"}
@@ -425,3 +433,95 @@ class TestEvalcacheBound:
         stats = evalcache.stats()
         assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
         assert stats["laplace_calls"] == 0
+        assert stats["laplace_bytes"] == stats["grid_bytes"] == 0
+        assert stats["inversion_bytes"] == 0
+        assert stats["max_bytes"] == evalcache.MAX_BYTES
+
+    @staticmethod
+    def _inversion(i: int, nbytes: int) -> np.ndarray:
+        """Store (or hit) an inversion entry of ``nbytes`` for token ``i``."""
+
+        class Tok:
+            def cache_token(self):
+                return ("bytes", i)
+
+        return evalcache.cached_inversion(
+            Tok(), "euler", 8, 0.0, np.array([0.1]), lambda: np.zeros(nbytes // 8)
+        )
+
+    @staticmethod
+    def _held() -> list:
+        return [key[0][1] for key in evalcache._inversions._entries]
+
+    def test_byte_bound_evicts_least_recent_first(self, monkeypatch):
+        evalcache.clear()
+        monkeypatch.setattr(evalcache, "MAX_BYTES", 1000)
+        try:
+            for i in range(3):
+                self._inversion(i, 320)
+            assert self._held() == [0, 1, 2]
+            assert evalcache.stats()["inversion_bytes"] == 960
+            self._inversion(0, 320)  # a hit: 0 becomes most recent
+            self._inversion(3, 200)  # 1160 bytes: evicts 1, the LRU end
+            assert self._held() == [2, 0, 3]
+            stats = evalcache.stats()
+            assert stats["inversion_bytes"] == 840
+            assert stats["evictions"] == 1
+            assert (stats["hits"], stats["misses"]) == (1, 4)
+            self._inversion(4, 600)  # 1440 bytes: evicts 2 then 0
+            assert self._held() == [3, 4]
+            assert evalcache.stats()["evictions"] == 3
+            assert evalcache.stats()["inversion_bytes"] == 800
+        finally:
+            evalcache.clear()
+
+    def test_oversized_value_returned_not_stored(self, monkeypatch):
+        evalcache.clear()
+        monkeypatch.setattr(evalcache, "MAX_BYTES", 1000)
+        try:
+            self._inversion(0, 400)
+            big = self._inversion(1, 1008)
+            assert big.nbytes == 1008
+            stats = evalcache.stats()
+            assert self._held() == [0]
+            assert stats["inversion_bytes"] == 400
+            assert (stats["misses"], stats["evictions"]) == (2, 0)
+            self._inversion(1, 1008)  # still not cached: another miss
+            assert evalcache.stats()["misses"] == 3
+        finally:
+            evalcache.clear()
+
+    def test_byte_total_matches_held_charges(self, monkeypatch):
+        def charges() -> int:
+            return sum(charge for _, charge in evalcache._inversions._entries.values())
+
+        evalcache.clear()
+        monkeypatch.setattr(evalcache, "MAX_BYTES", 4096)
+        try:
+            for i in range(20):
+                self._inversion(i, 8 * (1 + i % 7) * 16)
+            assert evalcache.stats()["evictions"] > 0
+            assert evalcache.stats()["inversion_bytes"] == charges() <= 4096
+            evalcache.set_max_entries(3)
+            assert len(self._held()) == 3
+            assert evalcache.stats()["inversion_bytes"] == charges()
+            # Storing a held key again replaces its charge, not adds one.
+            key = next(iter(evalcache._inversions._entries))
+            evalcache._inversions.put(key, np.zeros(2))
+            assert evalcache.stats()["inversion_bytes"] == charges()
+            assert len(self._held()) == 3
+            evalcache.clear()
+            assert evalcache.stats()["inversion_bytes"] == charges() == 0
+        finally:
+            evalcache.set_max_entries(evalcache.MAX_ENTRIES)
+            evalcache.clear()
+
+    def test_grid_pmf_charged_by_probs(self):
+        from repro.distributions import Gamma, grid_of
+
+        evalcache.clear()
+        try:
+            pmf = grid_of(Gamma(2.0, 100.0), 1e-3, 256)
+            assert evalcache.stats()["grid_bytes"] == pmf.probs.nbytes
+        finally:
+            evalcache.clear()

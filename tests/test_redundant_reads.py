@@ -14,12 +14,14 @@ The load-bearing guarantees:
   ``fanout=1`` *is* :class:`LatencyPercentileModel`, bit-for-bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.model import (
+    DISK_QUEUE_MODELS,
     LatencyPercentileModel,
     ParameterError,
     RedundantLatencyModel,
@@ -468,6 +470,26 @@ class TestRedundantModel:
         )
         for name, util in single.utilizations().items():
             assert kofn.utilizations()[name] == pytest.approx(util)
+
+    @pytest.mark.parametrize("strategy", ["kofn", "quorum"])
+    @pytest.mark.parametrize("disk_queue", DISK_QUEUE_MODELS)
+    def test_utilizations_honour_disk_queue(
+        self, system_params, replica_rows, strategy, disk_queue
+    ):
+        """With several processes the disk sojourn feeds the union
+        operation, so utilisation depends on the disk-queue model the
+        redundant model was built with, exactly as in the base model."""
+        params = dataclasses.replace(
+            system_params,
+            devices=tuple(
+                dataclasses.replace(d, n_processes=16) for d in system_params.devices
+            ),
+        )
+        base = LatencyPercentileModel(params, disk_queue=disk_queue)
+        model = RedundantLatencyModel(
+            params, replica_rows, strategy=strategy, fanout=2, disk_queue=disk_queue
+        )
+        assert model.utilizations() == base.utilizations()
 
 
 class TestWhatIfHooks:
