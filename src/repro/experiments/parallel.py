@@ -315,9 +315,7 @@ def _run_point(ctx: SweepContext, task: PointTask):
         predicted[family] = {sla: model.sla_percentile(sla) for sla in scenario.slas}
         if family == "ours":
             max_util = max(model.utilizations().values())
-            stage_means = getattr(model, "stage_means", None)
-            if stage_means is not None:
-                model_stages = stage_means()
+            model_stages = model.stage_means()
     return SweepPoint(
         rate=float(rate),
         n_requests=len(table),

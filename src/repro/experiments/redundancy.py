@@ -14,15 +14,15 @@ metrics it observed (the redundant model deliberately consumes rates
 that already include probe traffic -- see the module docstring of
 :mod:`repro.model.redundancy`), and is judged against its matching
 predictor: :class:`RedundantLatencyModel` for the strategy episode,
-:class:`LatencyPercentileModel` (via the ``single`` delegation) for the
-control.  The control error is the model *family's* floor on this
+:class:`LatencyPercentileModel`'s composition (the ``single`` reduction)
+for the control.  The control error is the model *family's* floor on this
 workload, so the excess of the strategy error over it attributes what
 the order-statistic layer itself adds -- primarily the independence
 assumption across concurrent probes.
 
 At ``fanout=1`` the strategy episode is bit-identical to the control
 (the simulator routes through the single-replica path) and the model
-delegates exactly, so every column of the comparison collapses -- the
+reduces exactly, so every column of the comparison collapses -- the
 k=1 row of :func:`run_kofn_sweep` doubles as an end-to-end self-check.
 
 ``cosmodel redundancy`` runs one scenario and writes the JSON + table

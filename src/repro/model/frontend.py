@@ -48,7 +48,7 @@ from repro.distributions import (
     grid_of,
 )
 from repro.model.backend import BackendModel
-from repro.model.parameters import FrontendParameters, ParameterError
+from repro.model.parameters import ParameterError
 from repro.queueing import MG1Queue
 
 __all__ = [
@@ -128,13 +128,16 @@ def _equilibrium_wait(waiting_time: Distribution) -> Distribution:
 
 
 def device_response(
-    frontend: FrontendParameters,
-    total_rate: float,
+    s_q: Distribution,
     backend: BackendModel,
     *,
     accept_mode: str = "paper",
 ) -> Distribution:
-    """``S_fe = S_q * W_a * S_be`` (Equation 2) for one device."""
-    s_q = frontend_queueing_latency(frontend, total_rate)
+    """``S_fe = S_q * W_a * S_be`` (Equation 2) for one device.
+
+    ``s_q`` is :func:`frontend_queueing_latency` of the whole tier; every
+    device of a model shares it, since every request parses at the same
+    frontend queue whatever its device.
+    """
     w_a = accept_wait(backend.waiting_time, accept_mode)
     return convolve(s_q, w_a, backend.response_time)

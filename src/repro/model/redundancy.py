@@ -37,16 +37,17 @@ metrics that already include fragment-sized probe traffic -- the
 feedback is deliberate, the model answers "what latency does this
 running system see", not "what would this system see under a different
 strategy".  The ``single`` strategy (and ``kofn``/``forkjoin`` at
-``read_fanout = 1``) delegates to :class:`LatencyPercentileModel`
-verbatim -- the same exact reduction the simulator's k=1 bit-identity
-guarantee provides on its side.
+``read_fanout = 1``) composes the base model's per-device classes
+through the same code path as :class:`LatencyPercentileModel` -- the
+same exact reduction the simulator's k=1 bit-identity guarantee
+provides on its side.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,10 +59,9 @@ from repro.distributions import (
     grid_of,
     order_statistic,
 )
-from repro.model.backend import BackendModel
-from repro.model.frontend import accept_wait, frontend_queueing_latency
+from repro.model.frontend import accept_wait
 from repro.model.parameters import ParameterError, SystemParameters
-from repro.model.system import LatencyPercentileModel
+from repro.model.system import _device_classes, _ModelCore
 
 __all__ = [
     "RedundantLatencyModel",
@@ -140,7 +140,7 @@ def _compose_grid(
     return GridDistribution(combined)
 
 
-class RedundantLatencyModel:
+class RedundantLatencyModel(_ModelCore):
     """SLA predictor under a redundant read-dispatch strategy.
 
     Parameters
@@ -153,7 +153,7 @@ class RedundantLatencyModel:
         ``(device-name tuple, weight)`` pairs describing the distinct
         replica rows and their share of requests -- build them with
         :func:`replica_sets_from_ring`.  Ignored (may be empty) for the
-        delegating ``single``/``fanout=1`` reduction.
+        ``single``/``fanout=1`` reduction.
     strategy / fanout:
         The dispatch strategy and its ``k`` (``fanout`` is ignored for
         ``single`` and ``quorum``, mirroring :class:`ClusterConfig`).
@@ -178,24 +178,18 @@ class RedundantLatencyModel:
             )
         if fanout < 1:
             raise ParameterError(f"fanout must be >= 1, got {fanout}")
-        self.params = params
         self.strategy = strategy
         self.fanout = fanout
-        self.inversion = inversion
-        self._delegate: LatencyPercentileModel | None = None
+        super().__init__(
+            params, accept_mode=accept_mode, disk_queue=disk_queue, inversion=inversion
+        )
         # The exact reduction: single, and kofn/forkjoin at fanout 1,
-        # *are* the paper's model -- same composites, same memoised
-        # inversions, bit-equal predictions.
+        # *are* the paper's model -- same classes, same composition,
+        # bit-equal predictions.
         if strategy == "single" or (
             strategy in ("kofn", "forkjoin") and fanout == 1
         ):
-            self._delegate = LatencyPercentileModel(
-                params,
-                accept_mode=accept_mode,
-                disk_queue=disk_queue,
-                inversion=inversion,
-            )
-            self._system = self._delegate.system_latency
+            self._compose(_device_classes(params))
             return
 
         replica_sets = tuple(
@@ -206,28 +200,27 @@ class RedundantLatencyModel:
                 "redundant strategies need replica_sets (see "
                 "replica_sets_from_ring)"
             )
-        total = params.total_request_rate
         # R_d = W_a * S_be: everything one replica contributes after the
         # (shared) frontend queue.  Built once per device and shared by
         # every row containing it, so equal-law replicas batch through
-        # the order-statistic node-sharing.
-        self._backends: dict[str, BackendModel] = {}
+        # the order-statistic node-sharing.  Utilisation is a property
+        # of each device's own queue; the race does not change it (probe
+        # load is already in the observed rates the parameters were
+        # calibrated from).
         self._races: dict[str, Distribution] = {}
         for dev in params.devices:
-            backend = BackendModel.solve(dev, disk_queue=disk_queue)
-            self._backends[dev.name] = backend
+            backend = self._solve(dev)
             self._races[dev.name] = convolve(
                 accept_wait(backend.waiting_time, accept_mode),
                 backend.response_time,
             )
-        s_q = frontend_queueing_latency(params.frontend, total)
-        components: list[Distribution] = []
-        weights: list[float] = []
-        for names, weight in replica_sets:
-            race = self._row_race(names)
-            components.append(_compose_grid(s_q, race, inversion=inversion))
-            weights.append(weight)
-        self._system = Mixture.rate_weighted(components, weights)
+        self._system = Mixture.rate_weighted(
+            [
+                _compose_grid(self._s_q, self._row_race(names), inversion=inversion)
+                for names, _ in replica_sets
+            ],
+            [weight for _, weight in replica_sets],
+        )
 
     # ------------------------------------------------------------------
     def _race_of(self, name: str) -> Distribution:
@@ -256,34 +249,3 @@ class RedundantLatencyModel:
         # Replica subsets are drawn uniformly by the frontend's partial
         # Fisher-Yates, so the race is the equal-weight mixture.
         return Mixture(stats, [1.0 / len(stats)] * len(stats))
-
-    # ------------------------------------------------------------------
-    @property
-    def system_latency(self) -> Distribution:
-        return self._system
-
-    def sla_percentile(self, sla_seconds: float) -> float:
-        """Predicted fraction of reads meeting the SLA under the
-        strategy (Equation 3 generalised over replica rows)."""
-        return float(self._system.cdf(sla_seconds, method=self.inversion))
-
-    def sla_percentiles(self, slas: Iterable[float]) -> np.ndarray:
-        slas = np.asarray(list(slas), dtype=float)
-        return np.asarray(
-            self._system.cdf(slas, method=self.inversion), dtype=float
-        )
-
-    def latency_quantile(self, q: float) -> float:
-        return self._system.quantile(q, method=self.inversion)
-
-    @property
-    def mean_latency(self) -> float:
-        return self._system.mean
-
-    def utilizations(self) -> Mapping[str, float]:
-        if self._delegate is not None:
-            return self._delegate.utilizations()
-        # Utilisation is a property of each device's own queue; the
-        # redundant race does not change it (probe load is already in
-        # the observed rates the parameters were calibrated from).
-        return {name: be.utilization for name, be in self._backends.items()}

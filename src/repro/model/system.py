@@ -8,18 +8,29 @@ percentile of requests meeting an SLA -- the paper's Equation 3 mixture
 
 evaluated at the SLA threshold, where each ``S_j`` is the per-device
 frontend response latency of Equation 2.
+
+The base, degraded (:class:`DegradedLatencyModel`) and redundant
+(:class:`~repro.model.redundancy.RedundantLatencyModel`) predictors are
+constructors of one private core: it solves the frontend queue ``S_q``
+once (every request passes the same M/G/1 parse queue, Section III-C),
+solves each device's backend, composes Equation 2 per device class and
+Equation 3 over the classes, and answers the queries.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.distributions import Distribution, Mixture, Uniform, convolve
 from repro.model.backend import BackendModel
-from repro.model.frontend import device_response
+from repro.model.frontend import (
+    accept_wait,
+    device_response,
+    frontend_queueing_latency,
+)
 from repro.model.parameters import (
     CacheMissRatios,
     DeviceParameters,
@@ -56,7 +67,113 @@ class PredictionBreakdown:
         )
 
 
-class LatencyPercentileModel:
+@dataclasses.dataclass(frozen=True)
+class DeviceClass:
+    """One homogeneous slice of the Equation-3 mixture.
+
+    ``params`` describes the device *as its queue sees it during this
+    class's share of the window* (rates, miss ratios, disk profile; a
+    healthy device is one class at its own request rate);
+    ``weight`` is the class's share of served requests (rate x time
+    fraction), which is what the Equation-3 mixture weighs by;
+    ``extra_delay`` is an additive response-time penalty outside the
+    queueing composition (used for stall residuals).
+    """
+
+    params: DeviceParameters
+    weight: float
+    extra_delay: Distribution | None = None
+
+
+def _device_classes(params: SystemParameters) -> tuple[DeviceClass, ...]:
+    """One class per device, weighted by its request rate (Equation 3)."""
+    return tuple(DeviceClass(dev, dev.request_rate) for dev in params.devices)
+
+
+class _ModelCore:
+    """The solved queues and prediction surface every model shares.
+
+    Holds the frontend queue ``S_q`` (built once per model), the backend
+    each constructor solves through :meth:`_solve`, and the mixture
+    ``_system`` the query methods read.
+    """
+
+    def __init__(
+        self,
+        params: SystemParameters,
+        *,
+        accept_mode: str,
+        disk_queue: str,
+        inversion: str,
+    ) -> None:
+        self.params = params
+        self.accept_mode = accept_mode
+        self.disk_queue = disk_queue
+        self.inversion = inversion
+        self._s_q = frontend_queueing_latency(
+            params.frontend, params.total_request_rate
+        )
+        self._backends: dict[str, BackendModel] = {}
+        self._device_latency: dict[str, Distribution] = {}
+
+    def _solve(self, dev: DeviceParameters) -> BackendModel:
+        backend = BackendModel.solve(dev, disk_queue=self.disk_queue)
+        self._backends[dev.name] = backend
+        return backend
+
+    def _compose(self, classes: Sequence[DeviceClass]) -> None:
+        """Equation 2 per class, then the Equation 3 mixture over them."""
+        components = []
+        for cls in classes:
+            latency = device_response(
+                self._s_q, self._solve(cls.params), accept_mode=self.accept_mode
+            )
+            if cls.extra_delay is not None:
+                latency = convolve(latency, cls.extra_delay)
+            self._device_latency[cls.params.name] = latency
+            components.append(latency)
+        self._system = Mixture.rate_weighted(
+            components, [cls.weight for cls in classes]
+        )
+
+    # ------------------------------------------------------------------
+    # Predictions
+    # ------------------------------------------------------------------
+    @property
+    def system_latency(self) -> Distribution:
+        """The Equation 3 mixture over devices (or device classes)."""
+        return self._system
+
+    def sla_percentile(self, sla_seconds: float) -> float:
+        """Fraction of requests meeting the SLA: ``S(sla)``.
+
+        This is the paper's headline prediction, e.g.
+        ``sla_percentile(0.1) == 0.95`` means 95% of requests respond
+        within 100 ms.
+        """
+        return float(self._system.cdf(sla_seconds, method=self.inversion))
+
+    def sla_percentiles(self, slas: Iterable[float]) -> np.ndarray:
+        """Vectorised :meth:`sla_percentile` over several SLAs."""
+        slas = np.asarray(list(slas), dtype=float)
+        return np.asarray(self._system.cdf(slas, method=self.inversion), dtype=float)
+
+    def latency_quantile(self, q: float) -> float:
+        """Inverse prediction: the latency below which fraction ``q`` of
+        requests complete (e.g. ``latency_quantile(0.99)`` is the p99)."""
+        return self._system.quantile(q, method=self.inversion)
+
+    @property
+    def mean_latency(self) -> float:
+        return self._system.mean
+
+    def utilizations(self) -> Mapping[str, float]:
+        """Per-device (or per-class, ``name#tag``) union-operation
+        queue utilisation."""
+        return {name: be.utilization for name, be in self._backends.items()}
+
+
+class LatencyPercentileModel(_ModelCore):
     """The paper's full analytic model.
 
     Parameters
@@ -87,31 +204,10 @@ class LatencyPercentileModel:
         disk_queue: str = "mm1k",
         inversion: str = "euler",
     ) -> None:
-        self.params = params
-        self.accept_mode = accept_mode
-        self.disk_queue = disk_queue
-        self.inversion = inversion
-        self._backends: dict[str, BackendModel] = {}
-        self._device_latency: dict[str, Distribution] = {}
-        total = params.total_request_rate
-        for dev in params.devices:
-            backend = BackendModel.solve(dev, disk_queue=disk_queue)
-            self._backends[dev.name] = backend
-            self._device_latency[dev.name] = device_response(
-                params.frontend, total, backend, accept_mode=accept_mode
-            )
-        self._system = Mixture.rate_weighted(
-            [self._device_latency[d.name] for d in params.devices],
-            [d.request_rate for d in params.devices],
+        super().__init__(
+            params, accept_mode=accept_mode, disk_queue=disk_queue, inversion=inversion
         )
-
-    # ------------------------------------------------------------------
-    # Distributions
-    # ------------------------------------------------------------------
-    @property
-    def system_latency(self) -> Distribution:
-        """The Equation 3 mixture over devices."""
-        return self._system
+        self._compose(_device_classes(params))
 
     def device_latency(self, name: str) -> Distribution:
         """``S_j``: response-latency distribution of one device."""
@@ -127,45 +223,16 @@ class LatencyPercentileModel:
         except KeyError:
             raise ParameterError(f"unknown device {name!r}") from None
 
-    # ------------------------------------------------------------------
-    # Predictions
-    # ------------------------------------------------------------------
-    def sla_percentile(self, sla_seconds: float) -> float:
-        """Fraction of requests meeting the SLA: ``S(sla)``.
-
-        This is the paper's headline prediction, e.g.
-        ``sla_percentile(0.1) == 0.95`` means 95% of requests respond
-        within 100 ms.
-        """
-        return float(self._system.cdf(sla_seconds, method=self.inversion))
-
-    def sla_percentiles(self, slas: Iterable[float]) -> np.ndarray:
-        """Vectorised :meth:`sla_percentile` over several SLAs."""
-        slas = np.asarray(list(slas), dtype=float)
-        return np.asarray(self._system.cdf(slas, method=self.inversion), dtype=float)
-
     def device_sla_percentile(self, name: str, sla_seconds: float) -> float:
         """Per-device percentile (bottleneck identification)."""
         return float(self.device_latency(name).cdf(sla_seconds, method=self.inversion))
-
-    def latency_quantile(self, q: float) -> float:
-        """Inverse prediction: the latency below which fraction ``q`` of
-        requests complete (e.g. ``latency_quantile(0.99)`` is the p99)."""
-        return self._system.quantile(q, method=self.inversion)
-
-    @property
-    def mean_latency(self) -> float:
-        return self._system.mean
 
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def breakdown(self) -> list[PredictionBreakdown]:
         """Per-device mean-latency decomposition (Sq / Wa / Sbe)."""
-        from repro.model.frontend import accept_wait, frontend_queueing_latency
-
-        total = self.params.total_request_rate
-        s_q_mean = frontend_queueing_latency(self.params.frontend, total).mean
+        s_q_mean = self._s_q.mean
         out = []
         for dev in self.params.devices:
             be = self._backends[dev.name]
@@ -180,10 +247,6 @@ class LatencyPercentileModel:
                 )
             )
         return out
-
-    def utilizations(self) -> Mapping[str, float]:
-        """Per-device union-operation queue utilisation."""
-        return {name: be.utilization for name, be in self._backends.items()}
 
     def stage_means(self) -> dict[str, float]:
         """Rate-weighted mean latency per Equation-2 stage.
@@ -253,23 +316,6 @@ class LatencyPercentileModel:
 # ----------------------------------------------------------------------
 # Degraded-mode predictor (fault windows; see docs/FAULTS.md)
 # ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class DeviceClass:
-    """One homogeneous slice of the degraded fleet mixture.
-
-    ``params`` describes the device *as its queue sees it during this
-    class's share of the window* (rates, miss ratios, disk profile);
-    ``weight`` is the class's share of served requests (rate x time
-    fraction), which is what the Equation-3 mixture weighs by;
-    ``extra_delay`` is an additive response-time penalty outside the
-    queueing composition (used for stall residuals).
-    """
-
-    params: DeviceParameters
-    weight: float
-    extra_delay: Distribution | None = None
 
 
 def _scaled_disk(profile, factor: float):
@@ -472,7 +518,7 @@ def degraded_device_classes(
     return tuple(classes)
 
 
-class DegradedLatencyModel:
+class DegradedLatencyModel(_ModelCore):
     """Mixed-fleet SLA predictor for fault windows.
 
     The cluster CDF is the request-weighted mixture of per-device-class
@@ -499,10 +545,8 @@ class DegradedLatencyModel:
         devices_per_server: int = 1,
         cold_fill_times: tuple[float, float, float] | None = None,
     ) -> None:
-        self.params = params
         self.schedule = schedule
         self.window = (float(window[0]), float(window[1]))
-        self.inversion = inversion
         self.classes = degraded_device_classes(
             params,
             schedule,
@@ -510,41 +554,7 @@ class DegradedLatencyModel:
             devices_per_server=devices_per_server,
             cold_fill_times=cold_fill_times,
         )
-        total = params.total_request_rate
-        self._backends: dict[str, BackendModel] = {}
-        components: list[Distribution] = []
-        weights: list[float] = []
-        for cls in self.classes:
-            backend = BackendModel.solve(cls.params, disk_queue=disk_queue)
-            self._backends[cls.params.name] = backend
-            latency = device_response(
-                params.frontend, total, backend, accept_mode=accept_mode
-            )
-            if cls.extra_delay is not None:
-                latency = convolve(latency, cls.extra_delay)
-            components.append(latency)
-            weights.append(cls.weight)
-        self._system = Mixture.rate_weighted(components, weights)
-
-    @property
-    def system_latency(self) -> Distribution:
-        return self._system
-
-    def sla_percentile(self, sla_seconds: float) -> float:
-        """Predicted fraction of the window's requests meeting the SLA."""
-        return float(self._system.cdf(sla_seconds, method=self.inversion))
-
-    def sla_percentiles(self, slas: Iterable[float]) -> np.ndarray:
-        slas = np.asarray(list(slas), dtype=float)
-        return np.asarray(self._system.cdf(slas, method=self.inversion), dtype=float)
-
-    def latency_quantile(self, q: float) -> float:
-        return self._system.quantile(q, method=self.inversion)
-
-    @property
-    def mean_latency(self) -> float:
-        return self._system.mean
-
-    def utilizations(self) -> Mapping[str, float]:
-        """Per-class union-operation utilisation (``name#tag`` keys)."""
-        return {name: be.utilization for name, be in self._backends.items()}
+        super().__init__(
+            params, accept_mode=accept_mode, disk_queue=disk_queue, inversion=inversion
+        )
+        self._compose(self.classes)

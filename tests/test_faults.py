@@ -158,25 +158,36 @@ class TestStreamNeutrality:
 
 class TestHealthyEquivalence:
     """With no active fault the degraded model must reduce *exactly*
-    (1e-12) to the healthy model -- same classes, same composition."""
+    (``==``) to the healthy model -- same classes, same composition."""
+
+    @staticmethod
+    def assert_same_predictions(degraded, healthy, sla):
+        assert degraded.sla_percentile(sla) == healthy.sla_percentile(sla)
+        slas = [0.01, 0.05, 0.1]
+        assert np.array_equal(
+            degraded.sla_percentiles(slas), healthy.sla_percentiles(slas)
+        )
+        assert degraded.latency_quantile(0.99) == healthy.latency_quantile(0.99)
+        assert degraded.mean_latency == healthy.mean_latency
+        assert degraded.utilizations() == healthy.utilizations()
 
     @pytest.mark.parametrize("sla", [0.010, 0.050, 0.100])
     def test_empty_schedule_matches_healthy_model(self, system_params, sla):
-        healthy = LatencyPercentileModel(system_params).sla_percentile(sla)
-        degraded = DegradedLatencyModel(
-            system_params, FaultSchedule(), (0.0, 10.0)
-        ).sla_percentile(sla)
-        assert abs(degraded - healthy) <= 1e-12
+        self.assert_same_predictions(
+            DegradedLatencyModel(system_params, FaultSchedule(), (0.0, 10.0)),
+            LatencyPercentileModel(system_params),
+            sla,
+        )
 
     def test_non_overlapping_fault_matches_healthy_model(self, system_params):
         sched = schedule_of(
             [DiskSlowdown(device=0, start=100.0, end=110.0, factor=3.0)]
         )
-        healthy = LatencyPercentileModel(system_params).sla_percentile(0.100)
-        degraded = DegradedLatencyModel(
-            system_params, sched, (0.0, 10.0)
-        ).sla_percentile(0.100)
-        assert abs(degraded - healthy) <= 1e-12
+        self.assert_same_predictions(
+            DegradedLatencyModel(system_params, sched, (0.0, 10.0)),
+            LatencyPercentileModel(system_params),
+            0.100,
+        )
 
 
 # ----------------------------------------------------------------------

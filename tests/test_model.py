@@ -10,6 +10,7 @@ from repro.model import (
     ACCEPT_WAIT_MODES,
     BackendModel,
     CacheMissRatios,
+    DegradedLatencyModel,
     DeviceParameters,
     DiskLatencyProfile,
     FrontendParameters,
@@ -18,6 +19,7 @@ from repro.model import (
     NoWtaModel,
     OdoprModel,
     ParameterError,
+    RedundantLatencyModel,
     SystemParameters,
     accept_wait,
     build_model,
@@ -26,7 +28,8 @@ from repro.model import (
     odopr_parameters,
     union_operation_service,
 )
-from repro.queueing import UnstableQueueError
+from repro.queueing import MG1Queue, UnstableQueueError
+from repro.simulator.faults import DiskSlowdown, FaultSchedule
 
 
 class TestParameters:
@@ -267,6 +270,55 @@ class TestSystemModel:
         m = LatencyPercentileModel(system_params)
         with pytest.raises(ParameterError):
             m.device_latency("devX")
+
+
+class TestFrontendQueueBuiltOnce:
+    """Every request parses at the same frontend M/G/1 queue whatever its
+    device (Section III-C), so a model builds ``S_q`` once, not once per
+    device, and the diagnostics read the one the constructor built."""
+
+    ROWS = ((("dev0", "dev1", "dev2"), 0.5), (("dev1", "dev2", "dev3"), 0.5))
+
+    @pytest.fixture
+    def sq_builds(self, monkeypatch, system_params):
+        parse = system_params.frontend.parse
+        original = MG1Queue.sojourn_time
+        calls = []
+
+        def counting(queue):
+            if queue.service is parse:
+                calls.append(queue.arrival_rate)
+            return original(queue)
+
+        monkeypatch.setattr(MG1Queue, "sojourn_time", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            LatencyPercentileModel,
+            lambda p: DegradedLatencyModel(
+                p,
+                FaultSchedule((DiskSlowdown(device=1, start=2.0, end=6.0, factor=1.5),)),
+                (0.0, 10.0),
+            ),
+            lambda p: RedundantLatencyModel(p, strategy="single"),
+            lambda p: RedundantLatencyModel(
+                p, TestFrontendQueueBuiltOnce.ROWS, strategy="kofn", fanout=2
+            ),
+        ],
+        ids=["base", "degraded", "single", "kofn@2"],
+    )
+    def test_one_build_per_construction(self, system_params, sq_builds, build):
+        assert len(system_params.devices) == 4
+        build(system_params)
+        assert len(sq_builds) == 1
+
+    def test_diagnostics_build_none(self, system_params, sq_builds):
+        m = LatencyPercentileModel(system_params)
+        m.breakdown()
+        m.stage_means()
+        assert len(sq_builds) == 1
 
 
 class TestBaselines:

@@ -399,20 +399,30 @@ class TestReplicaSetsFromRing:
 class TestRedundantModel:
     SLA = 0.100
 
+    def assert_same_predictions(self, model, base):
+        assert model.sla_percentile(self.SLA) == base.sla_percentile(self.SLA)
+        slas = [0.01, 0.05, 0.1]
+        assert np.array_equal(model.sla_percentiles(slas), base.sla_percentiles(slas))
+        assert model.latency_quantile(0.99) == base.latency_quantile(0.99)
+        assert model.mean_latency == base.mean_latency
+        assert model.utilizations() == base.utilizations()
+
     def test_single_is_exact_delegation(self, system_params, replica_rows):
-        base = LatencyPercentileModel(system_params).sla_percentile(self.SLA)
-        model = RedundantLatencyModel(system_params, strategy="single")
-        assert model.sla_percentile(self.SLA) == base
+        self.assert_same_predictions(
+            RedundantLatencyModel(system_params, strategy="single"),
+            LatencyPercentileModel(system_params),
+        )
 
     @pytest.mark.parametrize("strategy", ["kofn", "forkjoin"])
     def test_fanout_one_is_exact_delegation(
         self, system_params, replica_rows, strategy
     ):
-        base = LatencyPercentileModel(system_params).sla_percentile(self.SLA)
-        model = RedundantLatencyModel(
-            system_params, replica_rows, strategy=strategy, fanout=1
+        self.assert_same_predictions(
+            RedundantLatencyModel(
+                system_params, replica_rows, strategy=strategy, fanout=1
+            ),
+            LatencyPercentileModel(system_params),
         )
-        assert model.sla_percentile(self.SLA) == base
 
     def test_speculation_beats_single(self, system_params, replica_rows):
         """min-of-2 stochastically dominates one replica draw, so the
