@@ -25,15 +25,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration import (
-    benchmark_disk,
-    benchmark_parse,
-    collect_device_metrics,
-    device_parameters_from_metrics,
-)
 from repro.experiments.reporting import format_percent, render_table
+from repro.experiments.runner import calibrate, window_episode
 from repro.experiments.scenarios import SLAS, Scenario, scenario_s1
-from repro.model import FrontendParameters, LatencyPercentileModel, SystemParameters
+from repro.model import LatencyPercentileModel
 from repro.queueing import UnstableQueueError
 from repro.simulator.cluster import Cluster
 from repro.workload.ssbench import OpenLoopDriver
@@ -80,46 +75,23 @@ def _measure_point(
     config = scenario.cluster
     if cluster_overrides:
         config = dataclasses.replace(config, **cluster_overrides)
+    calibration = calibrate(scenario, disk_objects=1200, parse_requests=60, seed=seed)
     catalog = scenario.catalog()
-    disk_bench = benchmark_disk(
-        config.hdd, catalog.sizes, chunk_bytes=config.chunk_bytes,
-        n_objects=1200, seed=seed,
-    )
-    parse_bench = benchmark_parse(
-        scenario.cluster, catalog.sizes, n_requests=60, seed=seed + 1
-    )
     cluster = Cluster(config, catalog.sizes, seed=seed)
     gen = WikipediaTraceGenerator(catalog, rng=np.random.default_rng(seed + 2))
     cluster.warm_caches(gen.warmup_accesses(scenario.warm_accesses // 2))
-    driver = OpenLoopDriver(cluster)
-    driver.run(
+    OpenLoopDriver(cluster).run(
         gen.constant_rate(rate, scenario.settle_duration, write_fraction=write_fraction)
     )
-    cluster.reset_window_counters()
-    t0 = cluster.sim.now
-    driver.run(
-        gen.constant_rate(rate, scenario.window_duration, write_fraction=write_fraction)
+    episode = window_episode(
+        cluster,
+        gen.constant_rate(rate, scenario.window_duration, write_fraction=write_fraction),
     )
-    t1 = cluster.sim.now
-    metrics = collect_device_metrics(cluster.devices, t1 - t0)
-    cluster.run_until(t1 + 5.0)
-    table = cluster.metrics.requests().window(t0, t1).reads()
+    table = episode.table.reads()
     observed = {
         sla: float((table.response_latency <= sla).mean()) for sla in scenario.slas
     }
-    params = SystemParameters(
-        FrontendParameters(config.n_frontend_processes, parse_bench.frontend),
-        tuple(
-            device_parameters_from_metrics(
-                m,
-                disk_bench.latency_profile(),
-                parse_bench.backend,
-                config.processes_per_device,
-            )
-            for m in metrics
-            if m.request_rate > 0.0
-        ),
-    )
+    params = calibration.system_parameters(config, episode.metrics)
     try:
         model = LatencyPercentileModel(params)
         predicted = {sla: model.sla_percentile(sla) for sla in scenario.slas}

@@ -16,15 +16,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.calibration import (
-    benchmark_disk,
-    benchmark_parse,
-    collect_device_metrics,
-    device_parameters_from_metrics,
-)
 from repro.experiments.reporting import render_series
+from repro.experiments.runner import calibrate, window_episode
 from repro.experiments.scenarios import Scenario, scenario_s1
-from repro.model import FrontendParameters, LatencyPercentileModel, SystemParameters
+from repro.model import LatencyPercentileModel
 from repro.simulator.cluster import Cluster
 from repro.workload.ssbench import OpenLoopDriver
 from repro.workload.wikipedia import WikipediaTraceGenerator
@@ -75,44 +70,15 @@ def run_cdf_validation(
 ) -> CdfValidation:
     """One operating point: simulate a window, predict the full CDF."""
     scenario = scenario if scenario is not None else scenario_s1()
-    config = scenario.cluster
+    calibration = calibrate(scenario, disk_objects=1500, parse_requests=80, seed=seed)
     catalog = scenario.catalog()
-    disk_bench = benchmark_disk(
-        config.hdd,
-        catalog.sizes,
-        chunk_bytes=config.chunk_bytes,
-        n_objects=1500,
-        seed=seed,
-    )
-    parse_bench = benchmark_parse(config, catalog.sizes, n_requests=80, seed=seed + 1)
-    cluster = Cluster(config, catalog.sizes, seed=seed)
+    cluster = Cluster(scenario.cluster, catalog.sizes, seed=seed)
     gen = WikipediaTraceGenerator(catalog, rng=np.random.default_rng(seed + 2))
     cluster.warm_caches(gen.warmup_accesses(scenario.warm_accesses))
-    driver = OpenLoopDriver(cluster)
-    driver.run(gen.constant_rate(rate, scenario.settle_duration))
-    cluster.reset_window_counters()
-    t0 = cluster.sim.now
-    driver.run(gen.constant_rate(rate, scenario.window_duration))
-    t1 = cluster.sim.now
-    metrics = collect_device_metrics(cluster.devices, t1 - t0)
-    cluster.run_until(t1 + 5.0)
-    latencies = np.sort(
-        cluster.metrics.requests().window(t0, t1).response_latency
-    )
-
-    params = SystemParameters(
-        FrontendParameters(config.n_frontend_processes, parse_bench.frontend),
-        tuple(
-            device_parameters_from_metrics(
-                m,
-                disk_bench.latency_profile(),
-                parse_bench.backend,
-                config.processes_per_device,
-            )
-            for m in metrics
-            if m.request_rate > 0.0
-        ),
-    )
+    OpenLoopDriver(cluster).run(gen.constant_rate(rate, scenario.settle_duration))
+    episode = window_episode(cluster, gen.constant_rate(rate, scenario.window_duration))
+    latencies = np.sort(episode.table.response_latency)
+    params = calibration.system_parameters(scenario.cluster, episode.metrics)
     model = LatencyPercentileModel(params)
 
     grid_ms = np.linspace(max_ms / n_grid, max_ms, n_grid)

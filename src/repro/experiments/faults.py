@@ -21,12 +21,16 @@ Timeline of one episode (all within one simulated run)::
     warm caches | settle | window [t0, t1)
                            |-- before --|-- fault --|-- recovery --|
 
-The window is simulated in phase-sized segments so the baseline online
-metrics (rates, miss ratios) can be read off the window counters at the
-first phase boundary -- the part of the window where the paper's
-Section IV-B pipeline still sees a healthy system.  Both predictors are
-built from that baseline alone; nothing measured during or after the
-fault feeds the models.
+The window is one :func:`~repro.experiments.runner.window_episode` fed
+phase-sized traffic segments, so the baseline online metrics (rates,
+miss ratios) are read off the window counters when the first segment
+ends -- the part of the window where the paper's Section IV-B pipeline
+still sees a healthy system.  Both predictors are built from that
+baseline alone; nothing measured during or after the fault feeds the
+models.  As everywhere, ``t1`` is the clock when the window traffic
+ended (an open-loop trace stops at its last arrival, a little short of
+``t0 + window_duration``), every rate is over the span it was counted
+in, and the recovery phase ends at ``t1``.
 
 The fault matrix (:func:`run_fault_matrix`) crosses every fault type
 with the S1/S16 workloads; the CLI subcommand (``cosmodel faults``)
@@ -42,15 +46,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.calibration import collect_device_metrics, device_parameters_from_metrics
-from repro.experiments.runner import CalibrationBundle, calibrate
+from repro.experiments.runner import CalibrationBundle, calibrate, window_episode
 from repro.experiments.scenarios import Scenario, scenario_s1, scenario_s16
-from repro.model import (
-    DegradedLatencyModel,
-    FrontendParameters,
-    LatencyPercentileModel,
-    SystemParameters,
-)
+from repro.model import DegradedLatencyModel, LatencyPercentileModel
 from repro.queueing import UnstableQueueError
 from repro.simulator.backend import INDEX_ENTRY_BYTES, META_ENTRY_BYTES
 from repro.simulator.cluster import Cluster
@@ -292,15 +290,13 @@ def _run_episode(
     cluster = Cluster(scenario.cluster, catalog.sizes, seed=cluster_seed, tracer=tracer)
     gen = WikipediaTraceGenerator(catalog, rng=np.random.default_rng(trace_seed))
     cluster.warm_caches(gen.warmup_accesses(scenario.warm_accesses))
-    driver = OpenLoopDriver(cluster)
-    driver.run(gen.constant_rate(rate, scenario.settle_duration))
+    OpenLoopDriver(cluster).run(gen.constant_rate(rate, scenario.settle_duration))
 
     t0 = cluster.sim.now
-    t1 = t0 + scenario.window_duration
     schedule = fault_schedule_for(fault, t0, scenario.window_duration, factor=factor)
     if install:
         cluster.inject_faults(schedule)
-    phases = schedule.phases(t0, t1)
+    phases = schedule.phases(t0, t0 + scenario.window_duration)
     if phases[0].name != "before":
         raise RuntimeError("fault schedule must leave a pre-fault phase")
     if tracer is not None:
@@ -308,17 +304,12 @@ def _run_episode(
             cluster.sim.schedule_at(
                 phase.start, tracer.set_phase, phase.name, phase.start
             )
-
-    cluster.reset_window_counters()
-    baseline = None
-    for phase in phases:
-        driver.run(gen.constant_rate(rate, phase.duration))
-        if baseline is None:
-            # Window counters have only seen the healthy prefix here.
-            baseline = collect_device_metrics(cluster.devices, phase.duration)
-    # Let in-flight requests finish so the window's rows exist.
-    cluster.run_until(t1 + 5.0)
-    return schedule, phases, baseline, cluster.metrics.requests().window(t0, t1)
+    episode = window_episode(
+        cluster, *(gen.constant_rate(rate, phase.duration) for phase in phases)
+    )
+    # The traffic ends at its last arrival; so does the recovery phase.
+    phases = schedule.phases(t0, episode.t1)
+    return schedule, phases, episode.metrics, episode.table
 
 
 def run_fault_scenario(
@@ -372,19 +363,7 @@ def run_fault_scenario(
             "a device served no requests in the pre-fault phase; "
             "lengthen the window or raise the rate"
         )
-    frontend = FrontendParameters(
-        scenario.cluster.n_frontend_processes, calibration.parse_benchmark.frontend
-    )
-    n_be = scenario.cluster.processes_per_device
-    params = SystemParameters(
-        frontend,
-        tuple(
-            device_parameters_from_metrics(
-                m, calibration.profile, calibration.parse_benchmark.backend, n_be
-            )
-            for m in metrics
-        ),
-    )
+    params = calibration.system_parameters(scenario.cluster, metrics)
     per_server_rate = sum(m.request_rate for m in metrics) / max(
         scenario.cluster.n_backend_servers, 1
     )

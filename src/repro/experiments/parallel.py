@@ -15,6 +15,13 @@ into independent *point tasks*:
   measures one window and returns the finished
   :class:`~repro.experiments.runner.SweepPoint`.
 
+:func:`window_episode` is the measured window itself -- reset the
+window counters, replay the window traffic, read the online metrics,
+drain, cut the request table -- shared by every experiment that
+simulates a window and then predicts it (the sweep, the fault, the
+redundancy and dispatch episodes, the assumption studies and the CDF
+validation).  :mod:`repro.experiments.runner` re-exports it.
+
 Because every task's randomness is derived from seeds alone (never from
 execution order, pool scheduling or sibling points), ``jobs=4`` produces
 **bit-identical** results to ``jobs=1`` -- the determinism test asserts
@@ -32,15 +39,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.calibration import (
-    collect_device_metrics,
-    device_parameters_from_metrics,
-)
-from repro.model import FrontendParameters, SystemParameters, build_model
+from repro.calibration import collect_device_metrics
+from repro.model import build_model
 from repro.queueing import UnstableQueueError
 from repro.simulator.cluster import Cluster
 from repro.simulator.ring import HashRing
 from repro.workload.ssbench import OpenLoopDriver
+from repro.workload.trace import Trace
 from repro.workload.wikipedia import WikipediaTraceGenerator
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "PointTask",
     "run_point",
     "measure_point",
+    "WindowEpisode",
+    "window_episode",
     "execute",
     "resolve_jobs",
 ]
@@ -204,6 +211,47 @@ def _run_point_instrumented(ctx: SweepContext, task: PointTask):
     return point
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class WindowEpisode:
+    """One measured window ``[t0, t1)`` of a settled cluster.
+
+    ``t1`` is the clock when the window traffic ended (an open-loop
+    trace ends at its last arrival), so every rate is over ``t1 - t0``.
+    ``metrics`` are the devices' online metrics (Section IV-B) read off
+    the window counters when the *first* traffic segment ended: the
+    whole window for a one-segment episode, the healthy prefix for a
+    fault episode.  ``table`` holds the requests that arrived in
+    ``[t0, t1)``.
+    """
+
+    t0: float
+    t1: float
+    metrics: list  # list[DeviceOnlineMetrics]
+    table: object  # repro.simulator.metrics.RequestTable
+
+
+def window_episode(cluster: Cluster, *segments: Trace) -> WindowEpisode:
+    """Measure one window on a settled cluster.
+
+    Resets the window counters, replays ``segments`` back to back on an
+    open-loop driver, reads the online metrics after the first one,
+    then drains 5 s so every in-window request completes.  Warm-up,
+    settling and seeding stay with the caller; nothing here draws a
+    random number.
+    """
+    cluster.reset_window_counters()
+    driver = OpenLoopDriver(cluster)
+    t0 = cluster.sim.now
+    metrics = None
+    for trace in segments:
+        driver.run(trace)
+        if metrics is None:
+            metrics = collect_device_metrics(cluster.devices, cluster.sim.now - t0)
+    t1 = cluster.sim.now
+    cluster.run_until(t1 + 5.0)
+    return WindowEpisode(t0, t1, metrics, cluster.metrics.requests().window(t0, t1))
+
+
 def measure_point(ctx: SweepContext, task: PointTask):
     """Simulate one rate point's window and fit the model inputs.
 
@@ -216,11 +264,6 @@ def measure_point(ctx: SweepContext, task: PointTask):
     and introspect the model) without the prediction loop.
     """
     scenario = ctx.scenario
-    calibration = ctx.calibration
-    profile = calibration.profile
-    proportions = calibration.proportions
-    parse_be = calibration.parse_benchmark.backend
-
     catalog = _catalog_for(scenario)
     cluster = Cluster(
         scenario.cluster,
@@ -233,24 +276,12 @@ def measure_point(ctx: SweepContext, task: PointTask):
     )
     cluster.restore_cache_state(ctx.cache_snapshot)
     gen = WikipediaTraceGenerator(catalog, rng=np.random.default_rng(task.trace_seed))
-    driver = OpenLoopDriver(cluster)
-    frontend = FrontendParameters(
-        scenario.cluster.n_frontend_processes,
-        calibration.parse_benchmark.frontend,
-    )
-    n_be = scenario.cluster.processes_per_device
-
-    rate = task.rate
-    driver.run(gen.constant_rate(rate, scenario.settle_duration))
-    cluster.reset_window_counters()
+    OpenLoopDriver(cluster).run(gen.constant_rate(task.rate, scenario.settle_duration))
     disk_mark = cluster.metrics.disk_mark() if ctx.rescale_service else None
-    t0 = cluster.sim.now
-    driver.run(gen.constant_rate(rate, scenario.window_duration))
-    t1 = cluster.sim.now
-    metrics = collect_device_metrics(cluster.devices, t1 - t0)
-    # Let in-flight requests complete so the window's rows exist.
-    cluster.run_until(t1 + 5.0)
-    table = cluster.metrics.requests().window(t0, t1)
+    episode = window_episode(
+        cluster, gen.constant_rate(task.rate, scenario.window_duration)
+    )
+    table = episode.table
     if len(table) == 0:
         return None, None, None, None
     observed = {
@@ -278,19 +309,9 @@ def measure_point(ctx: SweepContext, task: PointTask):
         if all_samples.size:
             aggregate_mean = float(all_samples.mean())
 
-    device_params = tuple(
-        device_parameters_from_metrics(
-            m,
-            profile,
-            parse_be,
-            n_be,
-            aggregate_disk_mean=aggregate_mean,
-            proportions=proportions if aggregate_mean is not None else None,
-        )
-        for m in metrics
-        if m.request_rate > 0.0
+    params = ctx.calibration.system_parameters(
+        scenario.cluster, episode.metrics, aggregate_disk_mean=aggregate_mean
     )
-    params = SystemParameters(frontend, device_params)
     return table, observed, observed_stages, params
 
 

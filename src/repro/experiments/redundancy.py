@@ -20,6 +20,12 @@ workload, so the excess of the strategy error over it attributes what
 the order-statistic layer itself adds -- primarily the independence
 assumption across concurrent probes.
 
+Both episodes measure their window with
+:func:`~repro.experiments.runner.window_episode`: the window is
+``[t0, t1)`` with ``t1`` the clock when the window traffic ended (an
+open-loop trace stops at its last arrival, a little short of
+``t0 + window_duration``), and every rate is over ``t1 - t0``.
+
 At ``fanout=1`` the strategy episode is bit-identical to the control
 (the simulator routes through the single-replica path) and the model
 reduces exactly, so every column of the comparison collapses -- the
@@ -38,15 +44,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.calibration import collect_device_metrics, device_parameters_from_metrics
-from repro.experiments.runner import CalibrationBundle, calibrate
+from repro.experiments.runner import CalibrationBundle, calibrate, window_episode
 from repro.experiments.scenarios import Scenario, scenario_s1, scenario_s16
-from repro.model import (
-    FrontendParameters,
-    RedundantLatencyModel,
-    SystemParameters,
-    replica_sets_from_ring,
-)
+from repro.model import RedundantLatencyModel, replica_sets_from_ring
 from repro.queueing import UnstableQueueError
 from repro.simulator.cluster import Cluster
 from repro.workload.ssbench import OpenLoopDriver
@@ -206,9 +206,9 @@ def _run_episode(
     to the control.  The dispatch-policy experiments
     (:mod:`repro.experiments.dispatch`) reuse this harness with
     ``dispatch_policy`` varied instead, against the same ``random``
-    control.  Returns ``(cluster, device_metrics, window_table)`` with
-    the device metrics read off the window counters before the drain
-    tail.
+    control.  Returns ``(cluster, device_metrics, window_table,
+    (t0, t1))`` with the device metrics read off the window counters
+    before the drain tail.
     """
     root = np.random.SeedSequence(seed)
     cluster_seed, trace_seed = root.spawn(2)
@@ -222,17 +222,9 @@ def _run_episode(
     cluster = Cluster(config, catalog.sizes, seed=cluster_seed)
     gen = WikipediaTraceGenerator(catalog, rng=np.random.default_rng(trace_seed))
     cluster.warm_caches(gen.warmup_accesses(scenario.warm_accesses))
-    driver = OpenLoopDriver(cluster)
-    driver.run(gen.constant_rate(rate, scenario.settle_duration))
-
-    t0 = cluster.sim.now
-    t1 = t0 + scenario.window_duration
-    cluster.reset_window_counters()
-    driver.run(gen.constant_rate(rate, scenario.window_duration))
-    metrics = collect_device_metrics(cluster.devices, scenario.window_duration)
-    # Let in-flight requests finish so the window's rows exist.
-    cluster.run_until(t1 + 5.0)
-    return cluster, metrics, cluster.metrics.requests().window(t0, t1), (t0, t1)
+    OpenLoopDriver(cluster).run(gen.constant_rate(rate, scenario.settle_duration))
+    episode = window_episode(cluster, gen.constant_rate(rate, scenario.window_duration))
+    return cluster, episode.metrics, episode.table, (episode.t0, episode.t1)
 
 
 def _observe(
@@ -248,20 +240,7 @@ def _observe(
     disk_queue: str,
 ) -> StrategyObservation:
     """Build the episode's matching predictor and compare."""
-    live = [m for m in metrics if m.request_rate > 0.0]
-    frontend = FrontendParameters(
-        scenario.cluster.n_frontend_processes, calibration.parse_benchmark.frontend
-    )
-    n_be = scenario.cluster.processes_per_device
-    params = SystemParameters(
-        frontend,
-        tuple(
-            device_parameters_from_metrics(
-                m, calibration.profile, calibration.parse_benchmark.backend, n_be
-            )
-            for m in live
-        ),
-    )
+    params = calibration.system_parameters(scenario.cluster, metrics)
     try:
         if strategy == "single" or fanout == 1:
             model = RedundantLatencyModel(params, strategy="single", disk_queue=disk_queue)

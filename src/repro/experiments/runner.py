@@ -20,6 +20,10 @@ point is an independent task seeded from one root ``SeedSequence``, the
 warm cache state is computed once per scenario and shared, and ``jobs``
 fans the tasks over a process pool.  ``jobs=1`` (the default) runs the
 same tasks inline and produces bit-identical results.
+
+Every experiment that simulates a window and then predicts it measures
+the window with :func:`window_episode` and fits the model's inputs with
+:meth:`CalibrationBundle.system_parameters`.
 """
 
 from __future__ import annotations
@@ -29,9 +33,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.calibration import benchmark_disk, benchmark_parse
-from repro.experiments.parallel import PointTask, SweepContext, execute
+from repro.calibration import (
+    benchmark_disk,
+    benchmark_parse,
+    device_parameters_from_metrics,
+)
+from repro.experiments.parallel import (
+    PointTask,
+    SweepContext,
+    execute,
+    window_episode,
+)
 from repro.experiments.scenarios import Scenario
+from repro.model import FrontendParameters, SystemParameters
 from repro.simulator.cluster import Cluster
 from repro.workload.wikipedia import WikipediaTraceGenerator
 
@@ -40,6 +54,7 @@ __all__ = [
     "SweepResult",
     "CalibrationBundle",
     "calibrate",
+    "window_episode",
     "run_sweep",
     "run_sweeps",
 ]
@@ -61,6 +76,36 @@ class CalibrationBundle:
     @property
     def proportions(self):
         return self.disk_benchmark.proportions()
+
+    def system_parameters(
+        self, config, metrics, *, aggregate_disk_mean: float | None = None
+    ) -> SystemParameters:
+        """Fit the model's inputs from one window's online metrics.
+
+        ``config`` is the simulated :class:`ClusterConfig` (frontend and
+        backend pool sizes); devices that served no requests are left
+        out.  ``aggregate_disk_mean``, the window's mean disk service
+        time, rescales the benchmarked profile through the Section IV-B
+        decomposition; by default the profile is used as benchmarked.
+        """
+        profile = self.profile
+        proportions = self.proportions if aggregate_disk_mean is not None else None
+        parse = self.parse_benchmark
+        return SystemParameters(
+            FrontendParameters(config.n_frontend_processes, parse.frontend),
+            tuple(
+                device_parameters_from_metrics(
+                    m,
+                    profile,
+                    parse.backend,
+                    config.processes_per_device,
+                    aggregate_disk_mean=aggregate_disk_mean,
+                    proportions=proportions,
+                )
+                for m in metrics
+                if m.request_rate > 0.0
+            ),
+        )
 
 
 def calibrate(

@@ -45,6 +45,7 @@ provides on its side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -214,12 +215,25 @@ class RedundantLatencyModel(_ModelCore):
                 accept_wait(backend.waiting_time, accept_mode),
                 backend.response_time,
             )
-        self._system = Mixture.rate_weighted(
+        self._rows = [
+            (self._row_race(names), weight) for names, weight in replica_sets
+        ]
+
+    @functools.cached_property
+    def _system(self) -> Distribution:
+        """The Equation 3 mixture over replica rows, composed on first use.
+
+        The grid composition inverts every replica race at 4,096 points,
+        so it waits for the first query: building the model and asking
+        for :meth:`utilizations` cost only the queue solves.  (The exact
+        reduction sets ``_system`` in the constructor instead.)
+        """
+        return Mixture.rate_weighted(
             [
-                _compose_grid(self._s_q, self._row_race(names), inversion=inversion)
-                for names, _ in replica_sets
+                _compose_grid(self._s_q, race, inversion=self.inversion)
+                for race, _ in self._rows
             ],
-            [weight for _, weight in replica_sets],
+            [weight for _, weight in self._rows],
         )
 
     # ------------------------------------------------------------------

@@ -182,3 +182,61 @@ class TestRescaleServicePath:
             b = rescaled.predicted_series("ours", sla)
             mask = ~(np.isnan(a) | np.isnan(b))
             assert np.allclose(a[mask], b[mask], atol=0.12)
+
+
+class TestWindowRule:
+    """Every simulate-then-predict episode measures the window
+    ``[t0, t1)`` with ``t1`` the clock when its window traffic ended (an
+    open-loop trace stops at its last arrival, short of
+    ``t0 + window_duration``) and reads every rate over the span its
+    counters covered."""
+
+    RATE = 60.0
+
+    @pytest.fixture
+    def clock_log(self, monkeypatch):
+        """``(clock, per-device request counters)`` after each run_until."""
+        from repro.simulator.cluster import Cluster
+
+        log = []
+        run_until = Cluster.run_until
+
+        def logged(cluster, t_end):
+            run_until(cluster, t_end)
+            log.append((cluster.sim.now, [d.counters.requests for d in cluster.devices]))
+
+        monkeypatch.setattr(Cluster, "run_until", logged)
+        return log
+
+    def test_redundancy_episode(self, clock_log):
+        from repro.experiments.redundancy import _run_episode
+
+        scenario = tiny_scenario()
+        _, metrics, table, (t0, t1) = _run_episode(
+            scenario, scenario.catalog(), self.RATE, 1, "kofn", 2
+        )
+        (t_traffic, counts), (t_drained, _) = clock_log[-2:]
+        assert t1 == t_traffic < t0 + scenario.window_duration
+        assert t_drained == t1 + 5.0
+        assert len(table) and table.arrival.max() < t1
+        for m, n in zip(metrics, counts):
+            assert n > 0
+            assert m.request_rate * (t1 - t0) == pytest.approx(n, rel=1e-12)
+
+    def test_fault_episode(self, clock_log):
+        from repro.experiments.faults import _run_episode
+
+        scenario = tiny_scenario()
+        _, phases, baseline, _ = _run_episode(
+            scenario, scenario.catalog(), self.RATE, 1, "slow-disk", 2.0, install=True
+        )
+        t0, t1 = phases[0].start, phases[-1].end
+        clocks = [t for t, _ in clock_log]
+        # The baseline is read when the first (pre-fault) segment ends.
+        t_before, counts = clock_log[clocks.index(t0) + 1]
+        assert t_before < phases[0].end
+        for m, n in zip(baseline, counts):
+            assert n > 0
+            assert m.request_rate * (t_before - t0) == pytest.approx(n, rel=1e-12)
+        assert clocks[-2:] == [t1, t1 + 5.0]
+        assert t1 < t0 + scenario.window_duration

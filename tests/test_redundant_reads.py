@@ -29,6 +29,7 @@ from repro.model import (
     redundant_sla_percentile,
     replica_sets_from_ring,
 )
+from repro.queueing import UnstableQueueError
 from repro.simulator import Cluster, ClusterConfig
 from repro.simulator.core import SimulationError
 from repro.simulator.faults import DeviceFailStop, FaultSchedule
@@ -460,6 +461,55 @@ class TestRedundantModel:
                 ((("devX", "dev1"), 1.0),),
                 strategy="kofn",
                 fanout=2,
+            )
+
+    def test_composition_waits_for_the_first_query(
+        self, monkeypatch, system_params, replica_rows
+    ):
+        """Building a kofn@2 model and reading its utilisations inverts
+        nothing; the first query composes each replica row once, and
+        later queries reuse that composition."""
+        from repro.distributions import evalcache
+        from repro.model import redundancy
+
+        calls = []
+        compose = redundancy._compose_grid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compose(*args, **kwargs)
+
+        def counters():
+            stats = evalcache.stats()
+            return stats["hits"], stats["misses"]
+
+        evalcache.clear()
+        reference = RedundantLatencyModel(
+            system_params, replica_rows, strategy="kofn", fanout=2
+        ).sla_percentile(self.SLA)
+        reference_counters = counters()
+
+        monkeypatch.setattr(redundancy, "_compose_grid", counting)
+        evalcache.clear()
+        model = RedundantLatencyModel(
+            system_params, replica_rows, strategy="kofn", fanout=2
+        )
+        model.utilizations()
+        assert calls == []
+        assert model.sla_percentile(self.SLA) == reference
+        assert len(calls) == len(replica_rows)
+        assert counters() == reference_counters
+        model.sla_percentiles([0.05, 0.1])
+        model.latency_quantile(0.9)
+        model.mean_latency
+        assert len(calls) == len(replica_rows)
+
+    def test_constructor_still_rejects_a_saturated_device(
+        self, system_params, replica_rows
+    ):
+        with pytest.raises(UnstableQueueError):
+            RedundantLatencyModel(
+                system_params.scaled(10.0), replica_rows, strategy="kofn", fanout=2
             )
 
     def test_rejects_unknown_strategy(self, system_params, replica_rows):
