@@ -39,7 +39,7 @@ from repro.distributions.composite import (
     convolve,
     zero_inflate,
 )
-from repro.distributions.grid import GridDistribution, GridPMF, grid_of
+from repro.distributions.grid import GridDistribution, GridPMF, LatticeError, grid_of
 from repro.distributions.orderstats import KofN, OrderStatistic, order_statistic
 from repro.distributions.tails import Pareto, ShiftedExponential, Weibull
 from repro.distributions.fitting import (
@@ -78,6 +78,7 @@ __all__ = [
     "zero_inflate",
     "GridDistribution",
     "GridPMF",
+    "LatticeError",
     "grid_of",
     "KofN",
     "OrderStatistic",

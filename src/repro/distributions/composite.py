@@ -480,31 +480,44 @@ class TransformDistribution(Distribution):
     transform together with its analytically known first two moments so
     it can participate in further composition, and evaluates its CDF by
     numerical inversion.
+
+    ``second_moment`` may be a zero-argument callable, evaluated on the
+    first read (some producers' second moments cost more than the rest
+    of the queue solve and are rarely read).  ``lattice``, when given,
+    is the producer's own discretisation ``(dt, n) -> GridPMF``, which
+    :meth:`to_grid` uses instead of differencing the inverted CDF; the
+    transform, moments and token do not depend on it.
     """
 
-    __slots__ = ("_laplace", "_mean", "_second_moment", "_atom", "name", "_token")
+    __slots__ = (
+        "_laplace", "_mean", "_second_moment", "_atom", "name", "_token", "_lattice"
+    )
 
     def __init__(
         self,
         laplace: Callable[[np.ndarray], np.ndarray],
         mean: float,
-        second_moment: float | None = None,
+        second_moment: float | Callable[[], float] | None = None,
         *,
         atom_at_zero: float = 0.0,
         name: str = "transform",
         token: tuple | None = None,
+        lattice: Callable[[float, int], object] | None = None,
     ) -> None:
         self._laplace = laplace
         self._mean = check_non_negative("mean", mean)
         if second_moment is None:
             second_moment = _second_moment_from_transform(laplace, self._mean)
-        self._second_moment = check_non_negative("second_moment", second_moment)
+        if not callable(second_moment):
+            second_moment = check_non_negative("second_moment", second_moment)
+        self._second_moment = second_moment
         self._atom = check_probability("atom_at_zero", atom_at_zero)
         self.name = str(name)
         # The wrapped closure is opaque, so value identity cannot be
         # derived; producers (the queueing formulas) pass an explicit
         # token built from their own parameters to opt into memoisation.
         self._token = token
+        self._lattice = lattice
 
     @property
     def mean(self) -> float:
@@ -512,7 +525,11 @@ class TransformDistribution(Distribution):
 
     @property
     def second_moment(self) -> float:
-        return self._second_moment
+        second = self._second_moment
+        if callable(second):
+            second = check_non_negative("second_moment", second())
+            self._second_moment = second
+        return second
 
     @property
     def atom_at_zero(self) -> float:
@@ -523,6 +540,11 @@ class TransformDistribution(Distribution):
 
     def laplace(self, s):
         return self._laplace(np.asarray(s, dtype=complex))
+
+    def to_grid(self, dt: float, n: int):
+        if self._lattice is None:
+            return super().to_grid(dt, n)
+        return self._lattice(dt, n)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransformDistribution({self.name!r}, mean={self._mean:.6g})"

@@ -21,7 +21,23 @@ import numpy as np
 from repro.distributions.base import Distribution, DistributionError
 from repro.distributions import evalcache
 
-__all__ = ["GridPMF", "GridDistribution", "grid_of", "convolve_many"]
+__all__ = ["GridPMF", "GridDistribution", "LatticeError", "grid_of", "convolve_many"]
+
+
+class LatticeError(DistributionError):
+    """A lattice could not hold enough of a distribution's mass.
+
+    Raised instead of returning a lattice that silently misses mass:
+    ``captured`` is the probability mass the last attempt kept.
+    """
+
+    def __init__(self, message: str, captured: float) -> None:
+        super().__init__(message)
+        self.captured = captured
+
+    def __reduce__(self):
+        # Both arguments survive a trip back from a worker process.
+        return type(self), (str(self), self.captured)
 
 
 class GridPMF:
@@ -98,6 +114,19 @@ class GridPMF:
         idx = np.clip(idx, -1, self.n - 1)
         out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
         return out[()]
+
+    def edge_cdf(self, t):
+        """CDF at arbitrary ``t``, linear between the bin edges.
+
+        The lattice holds the CDF at the edges ``(k + 1/2) dt``; reading
+        it as a step (:meth:`cdf`) returns the value at the edge at or
+        above ``t``, biased by up to one bin of density, while the
+        interpolation's error is second order in ``dt``.
+        """
+        t = np.asarray(t, dtype=float)
+        edges = (np.arange(self.n) + 0.5) * self.dt
+        out = np.interp(t, edges, self._cumulative)
+        return np.where(t >= 0.0, out, 0.0)[()]
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q < 1.0:
@@ -278,7 +307,7 @@ class GridDistribution(Distribution):
         return out
 
     def cdf(self, t, **kwargs):
-        return self.grid.cdf(t)
+        return self.grid.edge_cdf(t)
 
     def sample(self, rng: np.random.Generator, size=None):
         probs = self.grid.probs / max(self.grid.probs.sum(), 1e-300)
@@ -323,11 +352,7 @@ def _grid_of_uncached(dist: Distribution, dt: float, n: int) -> GridPMF:
     )
 
     if isinstance(dist, Degenerate):
-        probs = np.zeros(n)
-        idx = int(round(dist.value / dt))
-        if idx < n:
-            probs[idx] = 1.0
-        return GridPMF(dt, probs)
+        return _point_mass(dist.value, dt, n)
     if isinstance(dist, Convolution):
         return convolve_many([grid_of(c, dt, n) for c in dist.components], n=n)
     if isinstance(dist, Mixture):
@@ -343,12 +368,9 @@ def _grid_of_uncached(dist: Distribution, dt: float, n: int) -> GridPMF:
     if isinstance(dist, Scaled):
         return grid_of(dist.base, dt / dist.factor, n)._with_dt(dt)
     if isinstance(dist, Shifted):
-        shift_bins = int(round(dist.shift / dt))
-        inner = grid_of(dist.base, dt, n)
-        probs = np.zeros(n)
-        upper = max(0, n - shift_bins)
-        probs[shift_bins : shift_bins + inner.n][: upper] = inner.probs[:upper]
-        return GridPMF(dt, probs)
+        return convolve_many(
+            [grid_of(dist.base, dt, n), _point_mass(dist.shift, dt, n)], n=n
+        )
     if isinstance(dist, GridDistribution):
         return dist.to_grid(dt, n)
     if isinstance(dist, Empirical):
@@ -359,6 +381,26 @@ def _grid_of_uncached(dist: Distribution, dt: float, n: int) -> GridPMF:
         return GridPMF(dt, probs)
     # Leaf with a closed-form CDF (Gamma, Exponential, Normal, ...).
     return dist.to_grid(dt, n)
+
+
+def _point_mass(value: float, dt: float, n: int) -> GridPMF:
+    """A point mass at ``value``, split between its two neighbouring
+    lattice points in proportion to closeness.
+
+    The split keeps the mean exact, so a constant delay inside a
+    convolution shifts the lattice by its true value instead of rounding
+    it to a whole bin (an error of up to ``dt / 2`` in time, first order
+    in ``dt`` on every CDF it enters).
+    """
+    probs = np.zeros(n)
+    pos = value / dt
+    idx = int(np.floor(pos))
+    frac = pos - idx
+    if idx < n:
+        probs[idx] = 1.0 - frac
+    if idx + 1 < n:
+        probs[idx + 1] = frac
+    return GridPMF(dt, probs)
 
 
 def _with_dt(self: GridPMF, dt: float) -> GridPMF:

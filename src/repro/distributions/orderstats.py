@@ -14,14 +14,18 @@ binomial form
 where ``I`` is the regularised incomplete beta function, and the
 Poisson-binomial generalisation when components differ.  Neither has a
 closed-form Laplace transform (``has_laplace`` is ``False``), so order
-statistics compose with the rest of the model in the *CDF/grid* domain:
-:meth:`Distribution.to_grid` differences the exact CDF, and
-:func:`repro.distributions.grid.grid_of` memoises the discretisation
-per ``cache_token`` through :mod:`repro.distributions.evalcache` --
-the same node-sharing that batches Mixture/Convolution evaluation.
+statistics compose with the rest of the model in the *CDF/grid* domain.
+:meth:`to_grid` applies the same tail identity bin edge by bin edge to
+the children's lattice CDFs (their :func:`~repro.distributions.grid
+.grid_of` discretisations), so a statistic over queueing composites
+discretises without a single Laplace inversion; the moments come from
+that lattice too.  :func:`~repro.distributions.grid.grid_of` memoises
+every discretisation per ``cache_token`` through
+:mod:`repro.distributions.evalcache` -- the same node-sharing that
+batches Mixture/Convolution evaluation.
 
-Node sharing inside one evaluation: :class:`KofN` calls its (shared)
-child CDF exactly once per ``t`` batch regardless of ``n``, and
+Node sharing inside one evaluation: :class:`KofN` evaluates its (shared)
+child once per ``t`` batch or lattice regardless of ``n``, and
 :class:`OrderStatistic` deduplicates children by value identity
 (``cache_token``) before running the Poisson-binomial recurrence, so a
 device set containing equal sojourn laws costs one child evaluation.
@@ -29,11 +33,14 @@ device set containing equal sojourn laws costs one child evaluation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import betainc
 
 from repro.distributions.base import Distribution, DistributionError
 from repro.distributions.composite import _child_tokens
+from repro.distributions.grid import GridPMF, grid_of
 
 __all__ = ["KofN", "OrderStatistic", "order_statistic"]
 
@@ -41,8 +48,8 @@ __all__ = ["KofN", "OrderStatistic", "order_statistic"]
 #: valid token value and the sentinel must survive pickling).
 _UNSET = False
 
-#: Trapezoid resolution for the numeric moments (order statistics have
-#: no closed-form moments in general).
+#: Lattice resolution and captured-mass target of the moments (order
+#: statistics have no closed-form moments in general).
 _MOMENT_BINS = 4096
 _MOMENT_TAIL = 1e-10
 
@@ -73,28 +80,65 @@ def _poisson_binomial_tail(ps: np.ndarray, k: int) -> np.ndarray:
     return coeffs[k:].sum(axis=0)
 
 
-def _numeric_moments(dist: Distribution, scale: float) -> tuple[float, float]:
-    """Mean and second moment by survival-function integration.
+def _shared_rows(components, evaluate) -> list:
+    """``evaluate(c)`` for every component, once per value identity.
 
-    ``E[X] = int sf`` and ``E[X^2] = 2 int t sf`` on a horizon grown by
-    doubling until the tail mass drops below ``_MOMENT_TAIL``.  Children
-    with infinite moments (heavy Pareto tails) yield horizon-truncated
-    values -- the CDF itself stays exact.
+    Children with equal ``cache_token`` (or the same object, when
+    uncacheable) share one evaluation."""
+    cache: dict = {}
+    rows = []
+    for c in components:
+        key = c.cache_token()
+        if key is None:
+            key = id(c)
+        vals = cache.get(key)
+        if vals is None:
+            vals = cache[key] = evaluate(c)
+        rows.append(vals)
+    return rows
+
+
+def _lattice_cdf(dist: Distribution, dt: float, n: int) -> np.ndarray:
+    """``dist``'s CDF at the bin edges ``(k + 1/2) dt`` of its lattice."""
+    return np.clip(grid_of(dist, dt, n)._cumulative, 0.0, 1.0)
+
+
+def _grid_from_edges(dt: float, cdf: np.ndarray) -> GridPMF:
+    """The lattice whose bin edges carry the CDF values ``cdf``."""
+    probs = np.diff(cdf, prepend=0.0)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    return GridPMF(dt, probs)
+
+
+def _lattice_moments(dist: Distribution, scale: float) -> tuple[float, float]:
+    """Mean and second moment of ``dist``'s lattice.
+
+    The horizon starts at the power of two at or above ``scale``, the
+    statistic's own order of magnitude -- the power of two puts
+    statistics over overlapping replica subsets on the same lattices, so
+    they share their children's discretisations -- and doubles until the
+    lattice misses at most ``_MOMENT_TAIL`` of the mass, or until a
+    doubling captures no more of it (a child that is itself a truncated
+    lattice never reaches the target; the finer lattice is kept).
+    Children with infinite moments (heavy Pareto tails) yield
+    horizon-truncated values -- the CDF itself stays exact.
     """
     if scale <= 0.0:
         # Children carry no mass above zero: the order statistic is the
         # point mass at zero as well.
         return 0.0, 0.0
-    hi = scale if np.isfinite(scale) else 1.0
+    hi = 2.0 ** math.ceil(math.log2(scale)) if np.isfinite(scale) else 1.0
+    grid = grid_of(dist, hi / _MOMENT_BINS, _MOMENT_BINS)
     for _ in range(200):
-        if float(np.asarray(dist.cdf(hi))) >= 1.0 - _MOMENT_TAIL:
+        if grid.tail_mass <= _MOMENT_TAIL:
             break
         hi *= 2.0
-    t = np.linspace(0.0, hi, _MOMENT_BINS + 1)
-    sf = 1.0 - np.clip(np.asarray(dist.cdf(t), dtype=float), 0.0, 1.0)
-    mean = float(np.trapezoid(sf, t))
-    second = float(2.0 * np.trapezoid(t * sf, t))
-    return mean, second
+        wider = grid_of(dist, hi / _MOMENT_BINS, _MOMENT_BINS)
+        if wider.tail_mass >= grid.tail_mass:
+            break
+        grid = wider
+    t = grid.times
+    return float(t @ grid.probs), float((t * t) @ grid.probs)
 
 
 class KofN(Distribution):
@@ -103,7 +147,8 @@ class KofN(Distribution):
     ``k = 1`` is the minimum (speculative first-response-wins), ``k = n``
     the maximum (fork-join completion), ``k = n//2 + 1`` the majority
     (quorum GET).  The CDF is the exact binomial identity evaluated
-    through ``betainc``; the shared child is evaluated once per batch.
+    through ``betainc``; the shared child is evaluated once per batch,
+    and :meth:`to_grid` applies it to the child's lattice CDF.
     """
 
     __slots__ = ("component", "k", "n", "_token", "_moments")
@@ -147,10 +192,14 @@ class KofN(Distribution):
         )
         return np.asarray(_binomial_tail(self.k, self.n, f))[()]
 
+    def to_grid(self, dt: float, n: int) -> GridPMF:
+        f = _lattice_cdf(self.component, dt, n)
+        return _grid_from_edges(dt, _binomial_tail(self.k, self.n, f))
+
     def _ensure_moments(self) -> tuple[float, float]:
         moments = self._moments
         if moments is None:
-            moments = _numeric_moments(self, self.n * self.component.mean)
+            moments = _lattice_moments(self, self.component.mean)
             self._moments = moments
         return moments
 
@@ -182,10 +231,11 @@ class OrderStatistic(Distribution):
 
     The CDF is the Poisson-binomial tail ``P(at least k of the component
     indicators 1{X_i <= t} fire)``, computed by the product-polynomial
-    recurrence vectorised over ``t``.  Children that denote the same law
-    (equal ``cache_token``) are evaluated once and their probabilities
-    reused -- mixed device sets with repeated sojourn laws batch like
-    the iid case.
+    recurrence vectorised over ``t`` (or over the bin edges of the
+    children's lattices, in :meth:`to_grid`).  Children that denote the
+    same law (equal ``cache_token``) are evaluated once and their
+    probabilities reused -- mixed device sets with repeated sojourn laws
+    batch like the iid case.
     """
 
     __slots__ = ("components", "k", "_token", "_moments")
@@ -228,37 +278,30 @@ class OrderStatistic(Distribution):
             "compose them in the CDF/grid domain (grid_of / to_grid)"
         )
 
-    def _child_probs(self, t: np.ndarray, kwargs) -> np.ndarray:
-        # Node sharing: children with equal value identity share one CDF
-        # evaluation (identity fallback for uncacheable children).
-        cache: dict = {}
-        rows = []
-        for c in self.components:
-            key = c.cache_token()
-            if key is None:
-                key = id(c)
-            vals = cache.get(key)
-            if vals is None:
-                vals = np.broadcast_to(
-                    np.clip(
-                        np.asarray(c.cdf(t, **kwargs), dtype=float), 0.0, 1.0
-                    ),
-                    t.shape,
-                )
-                cache[key] = vals
-            rows.append(vals)
-        return np.stack(rows, axis=0)
-
     def cdf(self, t, **kwargs):
         t = np.asarray(t, dtype=float)
-        tail = _poisson_binomial_tail(self._child_probs(t, kwargs), self.k)
+        rows = _shared_rows(
+            self.components,
+            lambda c: np.broadcast_to(
+                np.clip(np.asarray(c.cdf(t, **kwargs), dtype=float), 0.0, 1.0),
+                t.shape,
+            ),
+        )
+        tail = _poisson_binomial_tail(np.stack(rows, axis=0), self.k)
         return np.clip(tail, 0.0, 1.0)[()]
+
+    def to_grid(self, dt: float, n: int) -> GridPMF:
+        rows = _shared_rows(self.components, lambda c: _lattice_cdf(c, dt, n))
+        tail = _poisson_binomial_tail(np.stack(rows, axis=0), self.k)
+        return _grid_from_edges(dt, np.clip(tail, 0.0, 1.0))
 
     def _ensure_moments(self) -> tuple[float, float]:
         moments = self._moments
         if moments is None:
-            scale = float(sum(c.mean for c in self.components))
-            moments = _numeric_moments(self, scale)
+            # The k-th smallest child mean: a saturated replica must not
+            # set the resolution of a race the others win.
+            scale = sorted(c.mean for c in self.components)[self.k - 1]
+            moments = _lattice_moments(self, scale)
             self._moments = moments
         return moments
 

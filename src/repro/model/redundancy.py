@@ -24,9 +24,13 @@ happens in the *grid* domain: ``S_q`` and the order statistic are
 discretised through :func:`repro.distributions.grid.grid_of` (which
 memoises per ``cache_token`` via the evalcache node-sharing layer) and
 convolved on a lattice whose horizon doubles until the captured
-probability mass is above threshold.  The cluster-level CDF is the
-Equation-3 mixture over *distinct replica rows*, weighted by each row's
-partition-count share of the ring.
+probability mass is above threshold.  Every piece discretises
+structurally -- the P--K waits and the M/M/1/K disk sojourn through
+their own lattice builders, the races through the order statistics'
+lattice CDFs -- so with the paper's accept wait and disk queue a
+redundant query runs no Laplace inversion.  The cluster-level CDF is
+the Equation-3 mixture over *distinct replica rows*, weighted by each
+row's partition-count share of the ring.
 
 Independence caveats (quantified in the validation experiments): the
 per-replica ``R_d`` race is treated as independent across replicas,
@@ -55,11 +59,14 @@ import numpy as np
 from repro.distributions import (
     Distribution,
     GridDistribution,
+    LatticeError,
     Mixture,
     convolve,
+    evalcache,
     grid_of,
     order_statistic,
 )
+from repro.distributions.grid import convolve_many
 from repro.model.frontend import accept_wait
 from repro.model.parameters import ParameterError, SystemParameters
 from repro.model.system import _device_classes, _ModelCore
@@ -113,32 +120,40 @@ def replica_sets_from_ring(
     )
 
 
-def _compose_grid(
-    s_q: Distribution, race: Distribution, *, inversion: str
-) -> Distribution:
+def _compose_grid(s_q: Distribution, race: Distribution) -> Distribution:
     """``S_q * race`` on a lattice with an adaptive horizon.
 
-    The horizon starts at 12 combined means (the span heuristic the
-    equilibrium accept-wait grid uses) and doubles until the convolved
+    The horizon starts at the power of two (in seconds) at or above 12
+    combined means (the span heuristic the equilibrium accept-wait grid
+    uses; the power of two puts every row, and the order statistics'
+    moments, on shared lattices) and doubles until the convolved
     lattice keeps at least ``_MASS_THRESHOLD`` of the probability mass,
     so heavy-tailed races (Pareto file sizes, saturating replicas) do
-    not silently truncate.
+    not silently truncate; a lattice still short of it after
+    ``_MAX_DOUBLINGS`` horizons raises :class:`LatticeError`.
     """
     span = 12.0 * (s_q.mean + race.mean)
     if span <= 0.0 or not math.isfinite(span):
         raise ParameterError(
             f"cannot choose a composition horizon from span {span}"
         )
-    combined = None
+    span = 2.0 ** math.ceil(math.log2(span))
     for _ in range(_MAX_DOUBLINGS):
         dt = span / _GRID_BINS
-        g_q = grid_of(s_q, dt, _GRID_BINS)
-        g_r = grid_of(race, dt, _GRID_BINS)
-        combined = g_q.convolve(g_r, n=_GRID_BINS)
-        if float(combined.probs.sum()) >= _MASS_THRESHOLD:
-            break
+        combined = convolve_many(
+            [grid_of(s_q, dt, _GRID_BINS), grid_of(race, dt, _GRID_BINS)],
+            n=_GRID_BINS,
+        )
+        captured = float(combined.probs.sum())
+        if captured >= _MASS_THRESHOLD:
+            return GridDistribution(combined)
         span *= 2.0
-    return GridDistribution(combined)
+    raise LatticeError(
+        f"the S_q * race lattice captured only {captured:.6g} of the "
+        f"probability mass (< {_MASS_THRESHOLD}) at a {span / 2.0:.4g} s "
+        f"horizon after {_MAX_DOUBLINGS} doublings",
+        captured=captured,
+    )
 
 
 class RedundantLatencyModel(_ModelCore):
@@ -223,18 +238,19 @@ class RedundantLatencyModel(_ModelCore):
     def _system(self) -> Distribution:
         """The Equation 3 mixture over replica rows, composed on first use.
 
-        The grid composition inverts every replica race at 4,096 points,
-        so it waits for the first query: building the model and asking
-        for :meth:`utilizations` cost only the queue solves.  (The exact
-        reduction sets ``_system`` in the constructor instead.)
+        The rows compose on FFT lattices (no Laplace inversion), sharing
+        each replica's discretisations across rows and subsets through
+        one :func:`~repro.distributions.evalcache.grid_scope`.  Building
+        the model and asking for :meth:`utilizations` cost only the
+        queue solves.  (The exact reduction sets ``_system`` in the
+        constructor instead.)
         """
-        return Mixture.rate_weighted(
-            [
-                _compose_grid(self._s_q, race, inversion=self.inversion)
+        with evalcache.grid_scope():
+            rows = [
+                _compose_grid(self._s_q, race)
                 for race, _ in self._rows
-            ],
-            [weight for _, weight in self._rows],
-        )
+            ]
+        return Mixture.rate_weighted(rows, [weight for _, weight in self._rows])
 
     # ------------------------------------------------------------------
     def _race_of(self, name: str) -> Distribution:

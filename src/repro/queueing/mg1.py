@@ -16,23 +16,45 @@ series expansion of the transform:
     E[W^2] = 2 (E[W])^2 + r E[B^3] / (3 (1 - rho))
 
 (the standard Takács recursion).  ``E[B^3]`` is rarely available in
-closed form for our composites, so ``waiting_time`` estimates it
-numerically from the transform when needed and otherwise falls back to a
-finite-difference second moment -- the second moment only feeds reports
-and approximations, never the percentile prediction itself.
+closed form for our composites, so ``waiting_time`` estimates it by a
+finite difference of the transform, on first read -- the second moment
+only feeds reports and approximations, never the percentile prediction
+itself.
+
+The same equation discretises without inversion.  The wait is a
+geometric sum of equilibrium residuals of the service: with ``phi_e``
+the transform of ``(1 - B(t)) / E[B]``,
+
+    L[W](s) = (1 - rho) / (1 - rho phi_e(s)),
+
+which on a lattice is one FFT of the service lattice's residual
+(``waiting_time().to_grid``, used by the grid-domain compositions).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from repro.distributions import Distribution, TransformDistribution, convolve
+from repro.distributions import (
+    Distribution,
+    GridPMF,
+    TransformDistribution,
+    convolve,
+    grid_of,
+)
 from repro.distributions.evalcache import laplace_eval
 from repro.queueing.errors import QueueingError, UnstableQueueError
 
 __all__ = ["MG1Queue"]
+
+#: The wait's lattice FFT runs on a zero-padded circle of at least
+#: ``_PAD`` times the kept bins, damped so that the mass wrapping round
+#: it onto the kept bins is at most ``_WRAP_TOL`` at every ``rho < 1``.
+_PAD = 4
+_WRAP_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,16 +114,53 @@ class MG1Queue:
             return ((1.0 - rho) * s) / (r * laplace_eval(service, s) + s - r)
 
         mean = self.mean_waiting_time
-        second = self._waiting_second_moment(mean)
         service_token = service.cache_token()
         return TransformDistribution(
             transform,
             mean,
-            second,
+            functools.partial(self._waiting_second_moment, mean),
             atom_at_zero=1.0 - rho,
             name=f"pk-waiting(r={r:.4g})",
             token=None if service_token is None else ("pk-wait", r, service_token),
+            lattice=self._waiting_lattice,
         )
+
+    def _waiting_lattice(self, dt: float, n: int) -> GridPMF:
+        """The P--K wait on the lattice: ``(1 - rho) / (1 - rho phi_e)``.
+
+        ``phi_e`` is the rFFT of the equilibrium residual ``(1 - B(t)) /
+        E[B]`` of the service lattice, binned by the trapezoid rule over
+        the lattice's bin edges and normalised to sum 1.  Mass beyond
+        the ``n`` kept bins stays out of them, as the lattice's tail.
+
+        Against wrap-around the FFT is zero-padded (``_PAD``) and damped:
+        weighting bin ``k`` by ``theta**k`` commutes with convolution, so
+        the damped wait is the geometric sum of the damped residual, and
+        mass that wraps round the ``m``-bin circle arrives damped by
+        ``theta**m = _WRAP_TOL``.  Undamping the kept bins scales FFT
+        round-off by at most ``_WRAP_TOL**(-n/m)`` (1e3 at ``_PAD`` 4).
+        Zero padding alone would need a circle many times the wait's
+        mean, which near saturation far exceeds the horizon a
+        composition asks for.
+        """
+        rho = self.utilization
+        if rho == 0.0:
+            return GridPMF(dt, np.eye(1, n).ravel())
+        sf = np.clip(1.0 - np.cumsum(grid_of(self.service, dt, n).probs), 0.0, 1.0)
+        resid = np.empty(n)
+        resid[0] = 0.25 * (1.0 - self.service.atom_at_zero + sf[0])
+        resid[1:] = 0.5 * (sf[:-1] + sf[1:])
+        resid /= resid.sum()
+        m = 1 << int(np.ceil(np.log2(_PAD * n)))
+        damp = _WRAP_TOL ** (np.arange(n) / m)
+        # 1 - phi_e as the transform of delta_0 - damped residual, whose
+        # atom is summed rather than cancelled: near rho = 1 the
+        # denominator (1 - rho) + rho (1 - phi_e) then keeps its digits.
+        lack = -resid * damp
+        lack[0] = resid[1:].sum()
+        denom = (1.0 - rho) + rho * np.fft.rfft(lack, m)
+        wait = np.fft.irfft((1.0 - rho) / denom, m)[:n] / damp
+        return GridPMF(dt, np.clip(wait, 0.0, None))
 
     def _waiting_second_moment(self, mean_wait: float) -> float:
         """Takács: ``E[W^2] = 2 E[W]^2 + r E[B^3] / (3 (1 - rho))``.

@@ -30,6 +30,10 @@ that the closed form exhibits when overloaded.  The mean sojourn is
 ``Nbar / (lambda (1 - P_K))`` by Little's law applied with the *effective*
 (accepted) arrival rate; the paper prints ``r`` where ``r_disk`` is meant
 (see DESIGN.md, substitution table).
+
+The same mixture gives the sojourn's CDF in closed form,
+``sum_i q_i P(Erlang(i + 1, mu) <= t)``, which is how the sojourn
+discretises onto a lattice (``sojourn_time().to_grid``).
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.special import gammainc
 
-from repro.distributions import Distribution, TransformDistribution
+from repro.distributions import Distribution, GridPMF, TransformDistribution
 from repro.queueing.errors import QueueingError
 
 __all__ = ["MM1KQueue"]
@@ -118,6 +123,13 @@ class MM1KQueue:
             powers = base[..., np.newaxis] ** stages
             return powers @ q
 
+        def lattice(dt, n):
+            # The Erlang-mixture CDF at the bin edges, differenced.
+            edges = (np.arange(n) + 0.5) * (mu * dt)
+            cdf = q @ gammainc(stages[:, np.newaxis], edges)
+            probs = np.diff(cdf, prepend=0.0)
+            return GridPMF(dt, np.clip(probs, 0.0, None))
+
         mean = float(np.dot(q, stages) / mu)
         second = float(np.dot(q, stages * (stages + 1)) / mu**2)
         return TransformDistribution(
@@ -126,6 +138,7 @@ class MM1KQueue:
             second,
             name=f"mm1k-sojourn(K={self.capacity})",
             token=("mm1k-sojourn", self.arrival_rate, mu, self.capacity),
+            lattice=lattice,
         )
 
     def sojourn_laplace_closed_form(self, s):

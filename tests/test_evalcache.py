@@ -12,7 +12,7 @@ contract can be broken used to fail silently or cryptically:
 
 Both must now fail loudly at the point of the bug.  The byte bound on
 the memo is checked here too: it may drop and recompute values, but it
-must never change an answer, nor lose a hit a kofn@2 query reuses.
+must never change an answer.
 """
 
 from __future__ import annotations
@@ -246,50 +246,53 @@ def _kofn_answers(params, rows) -> list:
     return [x.hex() for x in model.sla_percentiles([0.02, 0.05, 0.1])]
 
 
-#: One replica row of three equal devices: the cheapest kofn@2 query
-#: that still stores megabyte node arrays.
+#: One replica row of three equal devices: the cheapest kofn@2 query.
 _ROW = ((("dev0", "dev1", "dev2"), 1.0),)
+
+_NO_REPAIRS = pytest.mark.filterwarnings(
+    "error::repro.laplace.inversion.RepairWarning"
+)
 
 
 @pytest.fixture(scope="module")
 def kofn_reference():
-    """Answers and misses of the small query at the default ceiling,
-    and its answers with the memo bypassed."""
+    """Answers of the small query at the default ceiling, and its
+    answers with the memo bypassed."""
     params = _kofn_params([(30.0, (0.4, 0.45, 0.7))] * 4)
     evalcache.clear()
     default = _kofn_answers(params, _ROW)
-    misses = evalcache.stats()["misses"]
     evalcache.clear()
     with evalcache.bypass():
         bypassed = _kofn_answers(params, _ROW)
-    return params, default, misses, bypassed
+    return params, default, bypassed
 
 
+@_NO_REPAIRS
 class TestByteBoundedKofn:
-    """A kofn@2 query inverts each replica at 4,096 grid points, so its
-    transform nodes hold megabyte arrays: the byte bound is what keeps
-    the memo small, and it must never change an answer."""
+    """A kofn@2 query composes on FFT lattices: it leaves no transform
+    node arrays or inversions in the memo, only 4,096-bin grids, and
+    the byte bound must never change an answer."""
 
     @pytest.mark.parametrize("max_bytes", [1 << 20, 4 << 20])
     def test_tight_ceiling_answers_bit_identical(
         self, monkeypatch, kofn_reference, max_bytes
     ):
-        params, default, default_misses, bypassed = kofn_reference
+        params, default, bypassed = kofn_reference
         assert default == bypassed
         monkeypatch.setattr(evalcache, "MAX_BYTES", max_bytes)
         assert _kofn_answers(params, _ROW) == default
         stats = evalcache.stats()
-        # Values were dropped and recomputed: the 1 MiB ceiling refuses
-        # every node array outright, the 4 MiB one evicts them.
-        assert stats["misses"] > default_misses
-        assert stats["laplace_bytes"] <= max_bytes
-        if max_bytes == 4 << 20:
+        assert stats["grid_bytes"] <= max_bytes
+        if max_bytes == 1 << 20:
+            # The query's 1.3 MB of lattices does not fit: grids were
+            # dropped, and the answers above did not move.
             assert stats["evictions"] > 0
 
     def test_default_ceiling_loses_no_hits(self, monkeypatch):
-        """Over four distinct devices, hits of this query reach back
-        ~39 MB of newer entries; at 32 MiB it loses 42 of them.  The
-        default ceiling must keep every hit an unbounded memo gets."""
+        """Over four distinct devices the query holds about 4.7 MB of
+        lattices and no transform or inversion arrays, so the default
+        ceiling does not bind: an unbounded memo gets the same hits and
+        misses and ends in the same state."""
         params = _kofn_params(
             [
                 (18.0, (0.35, 0.40, 0.72)),
@@ -301,16 +304,27 @@ class TestByteBoundedKofn:
         ring = HashRing(64, 4, 3, np.random.default_rng(5))
         rows = replica_sets_from_ring(ring, [d.name for d in params.devices])
 
-        def counters():
+        def footprint():
             evalcache.clear()
             answers = _kofn_answers(params, rows)
             stats = evalcache.stats()
-            return answers, stats["hits"], stats["misses"], stats["laplace_bytes"]
+            return answers, {
+                key: stats[key]
+                for key in (
+                    "hits",
+                    "misses",
+                    "laplace_bytes",
+                    "inversion_bytes",
+                    "grid_bytes",
+                    "grid_entries",
+                    "evictions",
+                )
+            }
 
-        ceiling = evalcache.MAX_BYTES
-        *bounded, held = counters()
-        assert held <= ceiling
+        bounded, held = footprint()
+        assert held["laplace_bytes"] == 0
+        assert held["inversion_bytes"] == 0
+        assert 0 < held["grid_bytes"] <= 8 << 20
+        assert held["evictions"] == 0
         monkeypatch.setattr(evalcache, "MAX_BYTES", sys.maxsize)
-        *unbounded, held = counters()
-        assert unbounded == bounded
-        assert held > ceiling  # the default ceiling did bind
+        assert footprint() == (bounded, held)

@@ -78,12 +78,43 @@ class TestClosedForms:
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_min_of_two_exponentials_mean(self):
-        # E[min of 2 iid Exp(3)] = 1/6; the trapezoid moment integrator
-        # must recover the closed form to its grid resolution.
+        # E[min of 2 iid Exp(3)] = 1/6; the lattice moments must
+        # recover the closed form to the lattice's resolution.
         dist = KofN(Exponential(3.0), 1, 2)
         assert math.isclose(dist.mean, 1.0 / 6.0, rel_tol=1e-4)
         # Second moment of Exp(6): 2/36.
         assert math.isclose(dist.second_moment, 2.0 / 36.0, rel_tol=1e-3)
+
+
+class TestLatticeClosedForms:
+    """On a lattice the order statistics apply the same identities to
+    the children's bin-edge CDFs, so the minimum of exponentials is the
+    exponential's own lattice up to round-off."""
+
+    DT = 1e-3
+    BINS = 4096
+
+    @pytest.mark.parametrize("rate, n", [(3.0, 2), (20.0, 3), (0.5, 5)])
+    def test_min_of_iid_exponentials_on_the_lattice(self, rate, n):
+        got = KofN(Exponential(rate), 1, n).to_grid(self.DT, self.BINS)
+        want = Exponential(n * rate).to_grid(self.DT, self.BINS)
+        assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+
+    def test_min_of_heterogeneous_exponentials_on_the_lattice(self):
+        rates = (1.0, 4.0, 9.0)
+        got = OrderStatistic([Exponential(r) for r in rates], 1).to_grid(
+            self.DT, self.BINS
+        )
+        want = Exponential(sum(rates)).to_grid(self.DT, self.BINS)
+        assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+
+    def test_moments_come_from_the_lattice(self, monkeypatch):
+        """No CDF evaluation (hence no inversion) behind the moments."""
+        dist = KofN(Exponential(3.0), 1, 2)
+        monkeypatch.setattr(
+            KofN, "cdf", lambda *a, **k: pytest.fail("moments evaluated the cdf")
+        )
+        assert math.isclose(dist.mean, 1.0 / 6.0, rel_tol=1e-5)
 
 
 # ----------------------------------------------------------------------

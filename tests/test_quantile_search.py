@@ -92,6 +92,7 @@ def assert_same_search(dist, q, method, **kwargs):
     got, got_warn = _with_warnings(lambda: dist.quantile(q, method=method, **kwargs))
     assert got == want
     assert got_warn == want_warn
+    return got_warn
 
 
 # ----------------------------------------------------------------------
@@ -210,12 +211,32 @@ MODELS = {
 }
 
 
+#: The kofn model composes on lattices and inverts nothing, so no
+#: RepairWarning may come from it (the searches record theirs).
+_LATTICE_ONLY = ("kofn_fanout2",)
+
+
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.filterwarnings(
+                "error::repro.laplace.inversion.RepairWarning"
+            ),
+        )
+        if name in _LATTICE_ONLY
+        else name
+        for name in sorted(MODELS)
+    ],
+)
 def test_model_matches_scalar_search(name, method):
     model = MODELS[name](method)
     for q in LEVELS:
-        assert_same_search(model.system_latency, q, method)
+        warned = assert_same_search(model.system_latency, q, method)
+        if name in _LATTICE_ONLY:
+            assert warned == 0
         assert model.latency_quantile(q) == model.system_latency.quantile(
             q, method=method
         )

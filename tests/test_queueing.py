@@ -249,3 +249,75 @@ class TestFiniteSource:
         q4 = FiniteSourceQueue(2.0, 50.0, 4)
         q16 = FiniteSourceQueue(2.0, 50.0, 16)
         assert q16.mean_sojourn_time > q4.mean_sojourn_time
+
+
+# ----------------------------------------------------------------------
+# lattices (the grid-domain discretisations of the queueing laws)
+# ----------------------------------------------------------------------
+
+LATTICE_BINS = 4096
+
+
+def _edges(dt, n=LATTICE_BINS):
+    return (np.arange(n) + 0.5) * dt
+
+
+class TestLattices:
+    @pytest.mark.parametrize("rho", [0.3, 0.5])
+    def test_pk_lattice_matches_exact_mm1_wait(self, rho):
+        """P(W <= t) = 1 - rho e^{-(mu - lambda) t} at every bin edge."""
+        mu = 40.0
+        lam = rho * mu
+        wait = MG1Queue(lam, Exponential(mu)).waiting_time()
+        dt = 12.0 * (wait.mean + 1.0 / mu) / LATTICE_BINS
+        grid = wait.to_grid(dt, LATTICE_BINS)
+        exact = 1.0 - rho * np.exp(-(mu - lam) * _edges(dt))
+        assert np.max(np.abs(grid._cumulative - exact)) <= 1e-6
+
+    def test_pk_lattice_near_saturation_on_a_short_horizon(self):
+        """At rho = 0.999 the wait's mean is 50x this horizon; the damped
+        FFT keeps the mass beyond it from wrapping onto the kept bins,
+        and reports it as the lattice's tail instead."""
+        rho, mu = 0.999, 1.0
+        wait = MG1Queue(rho * mu, Exponential(mu)).waiting_time()
+        dt = 20.0 / LATTICE_BINS
+        grid = wait.to_grid(dt, LATTICE_BINS)
+        exact = 1.0 - rho * np.exp(-(1.0 - rho) * mu * _edges(dt))
+        assert np.max(np.abs(grid._cumulative - exact)) <= 1e-7
+        assert grid.tail_mass == pytest.approx(1.0 - exact[-1], abs=1e-7)
+
+    @pytest.mark.parametrize("lam, capacity", [(40.0, 3), (80.0, 16), (130.0, 8)])
+    def test_mm1k_lattice_matches_mm1k_cdf(self, lam, capacity):
+        sojourn = MM1KQueue(lam, 100.0, capacity).sojourn_time()
+        dt = 12.0 * sojourn.mean / LATTICE_BINS
+        grid = sojourn.to_grid(dt, LATTICE_BINS)
+        edges = _edges(dt)[::16]
+        inverted = np.asarray(sojourn.cdf(edges))
+        assert np.max(np.abs(grid._cumulative[::16] - inverted)) <= 1e-7
+
+    def test_lattice_leaves_the_transform_alone(self):
+        """The lattice hook changes no moment, token or transform value."""
+        service = Gamma(2.0, 100.0)
+        wait = MG1Queue(20.0, service).waiting_time()
+        s = np.array([1.0, 10.0 + 5.0j, 100.0])
+        before = (wait.mean, wait.cache_token(), wait.laplace(s).tolist())
+        wait.to_grid(1e-4, LATTICE_BINS)
+        assert (wait.mean, wait.cache_token(), wait.laplace(s).tolist()) == before
+
+
+class TestLazyTakacsMoment:
+    def test_base_model_build_never_calls_it(self, monkeypatch, system_params):
+        from repro.model import LatencyPercentileModel
+
+        def forbidden(self, mean_wait):
+            raise AssertionError("the Takacs moment was computed")
+
+        monkeypatch.setattr(MG1Queue, "_waiting_second_moment", forbidden)
+        model = LatencyPercentileModel(system_params)
+        model.sla_percentile(0.1)
+
+    def test_value_when_read_is_the_eager_one(self):
+        q = MG1Queue(20.0, Gamma(2.0, 100.0))
+        wait = q.waiting_time()
+        assert wait.second_moment == q._waiting_second_moment(q.mean_waiting_time)
+        assert wait.second_moment == wait.second_moment

@@ -19,9 +19,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.distributions import Degenerate, Gamma, LatticeError
 from repro.model import (
     DISK_QUEUE_MODELS,
+    CacheMissRatios,
+    DeviceParameters,
+    DiskLatencyProfile,
+    FrontendParameters,
+    SystemParameters,
     LatencyPercentileModel,
     ParameterError,
     RedundantLatencyModel,
@@ -29,6 +37,7 @@ from repro.model import (
     redundant_sla_percentile,
     replica_sets_from_ring,
 )
+from repro.model.redundancy import _MASS_THRESHOLD
 from repro.queueing import UnstableQueueError
 from repro.simulator import Cluster, ClusterConfig
 from repro.simulator.core import SimulationError
@@ -37,6 +46,11 @@ from repro.simulator.frontend import READ_STRATEGIES
 from repro.simulator.metrics import MetricsRecorder, merge_recorder_states
 from repro.simulator.ring import HashRing
 from repro.workload import ObjectCatalog, OpenLoopDriver, WikipediaTraceGenerator
+
+# The redundant compositions run on lattices and invert nothing.
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.laplace.inversion.RepairWarning"
+)
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +518,36 @@ class TestRedundantModel:
         model.mean_latency
         assert len(calls) == len(replica_rows)
 
+    def test_uncaptured_mass_is_an_error(
+        self, monkeypatch, system_params, replica_rows
+    ):
+        """A lattice short of the mass threshold after the last doubling
+        raises, reporting what it captured, instead of answering."""
+        from repro.model import redundancy
+
+        monkeypatch.setattr(redundancy, "_MASS_THRESHOLD", 1.5)
+        model = RedundantLatencyModel(
+            system_params, replica_rows, strategy="kofn", fanout=2
+        )
+        with pytest.raises(LatticeError, match="captured only") as info:
+            model.sla_percentile(self.SLA)
+        assert 0.9995 < info.value.captured <= 1.0 + 1e-9
+
+    def test_equilibrium_accept_wait_composes(self, system_params, replica_rows):
+        """The equilibrium accept wait is a truncated lattice, so no
+        horizon captures all of a race's mass; the moment lattice stops
+        widening there instead of running the horizon away."""
+        model = RedundantLatencyModel(
+            system_params,
+            replica_rows,
+            strategy="kofn",
+            fanout=2,
+            accept_mode="equilibrium",
+        )
+        race = model._rows[0][0]
+        assert 0.0 < race.mean < 0.1
+        assert 0.9 < model.sla_percentile(self.SLA) <= 1.0
+
     def test_constructor_still_rejects_a_saturated_device(
         self, system_params, replica_rows
     ):
@@ -584,3 +628,79 @@ class TestWhatIfHooks:
 
     def test_strategy_universe_matches_simulator(self):
         assert READ_STRATEGIES == ("single", "kofn", "quorum", "forkjoin")
+
+
+# ----------------------------------------------------------------------
+# toward saturation
+# ----------------------------------------------------------------------
+
+
+def _skewed_params(n_processes: int) -> SystemParameters:
+    """Four devices of unequal load and miss ratios (S1 or S16 shape)."""
+    disk = DiskLatencyProfile(
+        index=Gamma(2.4, 140.0), meta=Gamma(1.8, 210.0), data=Gamma(2.0, 235.0)
+    )
+    devices = tuple(
+        DeviceParameters(
+            f"dev{i}",
+            rate,
+            rate * 1.04,
+            CacheMissRatios(0.3 + 0.05 * i, 0.4, 0.7 + 0.04 * i),
+            disk,
+            Degenerate(0.0004),
+            n_processes,
+        )
+        for i, rate in enumerate((30.0, 24.0, 18.0, 12.0))
+    )
+    return SystemParameters(FrontendParameters(12, Degenerate(0.001)), devices)
+
+
+@pytest.fixture(scope="module")
+def saturation_cases(replica_rows):
+    """Per shape: the parameters and the largest stable load multiplier."""
+    cases = {}
+    for n_processes in (1, 16):
+        params = _skewed_params(n_processes)
+        cases[n_processes] = (
+            params,
+            LatencyPercentileModel(params).max_stable_scale(tol=1e-6),
+        )
+    return cases, replica_rows
+
+
+class TestTowardSaturation:
+    """Toward rho -> 1 every redundant composition either converges on
+    its lattice or raises an explicit error; it never returns a lattice
+    that silently lost mass."""
+
+    SLAS = (0.01, 0.05, 0.1, 0.5, 2.0)
+
+    @given(
+        strategy=st.sampled_from(["kofn", "quorum", "forkjoin"]),
+        n_processes=st.sampled_from([1, 16]),
+        # The load is ``1 - 10**gap`` of the largest stable multiplier.
+        gap=st.floats(min_value=-5.0, max_value=-0.3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_converged_lattice_or_explicit_error(
+        self, saturation_cases, strategy, n_processes, gap
+    ):
+        cases, rows = saturation_cases
+        params, top = cases[n_processes]
+        scaled = params.scaled(top * (1.0 - 10.0**gap))
+        names = [d.name for d in scaled.devices]
+        rows = tuple(
+            (tuple(names[int(d[3:])] for d in row), w) for row, w in rows
+        )
+        try:
+            model = RedundantLatencyModel(
+                scaled, rows, strategy=strategy, fanout=2
+            )
+            answers = model.sla_percentiles(self.SLAS)
+        except (UnstableQueueError, LatticeError):
+            return
+        for component in model.system_latency.components:
+            assert component.grid.tail_mass <= 1.0 - _MASS_THRESHOLD
+        assert np.all(np.isfinite(answers))
+        assert np.all((answers >= 0.0) & (answers <= 1.0))
+        assert np.all(np.diff(answers) >= 0.0)
