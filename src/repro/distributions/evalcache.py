@@ -37,7 +37,6 @@ __all__ = [
     "s_context",
     "cached_grid",
     "cached_inversion",
-    "grid_scope",
     "clear",
     "stats",
     "set_enabled",
@@ -326,53 +325,19 @@ def cached_grid(dist, dt: float, n: int, compute):
 
     ``compute`` builds the :class:`~repro.distributions.grid.GridPMF`
     on a miss.  Grid PMFs hold read-only probability arrays, so a shared
-    instance is safe to return.  Inside a :func:`grid_scope` block each
-    discretisation is also kept for the rest of the block, memo or not.
+    instance is safe to return.
     """
     _calls["grid"] += 1
-    scoped = _scoped_grids
-    token = dist.cache_token() if _enabled or scoped is not None else None
+    token = dist.cache_token() if _enabled else None
     if token is None:
         return compute()
     _validate_token(dist, token)
     key = (token, float(dt), int(n))
-    value = None if scoped is None else scoped.get(key)
-    if value is not None:
-        return value
-    value = _grids.get(key) if _enabled else None
+    value = _grids.get(key)
     if value is None:
         value = compute()
-        if _enabled:
-            _grids.put(key, value)
-    if scoped is not None:
-        scoped[key] = value
+        _grids.put(key, value)
     return value
-
-
-#: The discretisations of the open :func:`grid_scope` block, or None.
-_scoped_grids: dict | None = None
-
-
-@contextlib.contextmanager
-def grid_scope():
-    """Share grid discretisations inside the block, memo on or off.
-
-    A redundant-read composition reaches each replica's law through
-    many order statistics, rows and moment lattices.  The block keeps
-    every discretisation it makes until it ends, so the composition
-    costs the same under :func:`bypass` as memoised; it leaves nothing
-    behind, and the memo sees only the block's first request of each
-    lattice.  Blocks nest into the outermost one.
-    """
-    global _scoped_grids
-    if _scoped_grids is not None:
-        yield
-        return
-    _scoped_grids = {}
-    try:
-        yield
-    finally:
-        _scoped_grids = None
 
 
 def cached_inversion(

@@ -62,7 +62,6 @@ from repro.distributions import (
     LatticeError,
     Mixture,
     convolve,
-    evalcache,
     grid_of,
     order_statistic,
 )
@@ -238,18 +237,12 @@ class RedundantLatencyModel(_ModelCore):
     def _system(self) -> Distribution:
         """The Equation 3 mixture over replica rows, composed on first use.
 
-        The rows compose on FFT lattices (no Laplace inversion), sharing
-        each replica's discretisations across rows and subsets through
-        one :func:`~repro.distributions.evalcache.grid_scope`.  Building
-        the model and asking for :meth:`utilizations` cost only the
-        queue solves.  (The exact reduction sets ``_system`` in the
+        The rows compose on FFT lattices (no Laplace inversion).
+        Building the model and asking for :meth:`utilizations` cost only
+        the queue solves.  (The exact reduction sets ``_system`` in the
         constructor instead.)
         """
-        with evalcache.grid_scope():
-            rows = [
-                _compose_grid(self._s_q, race)
-                for race, _ in self._rows
-            ]
+        rows = [_compose_grid(self._s_q, race) for race, _ in self._rows]
         return Mixture.rate_weighted(rows, [weight for _, weight in self._rows])
 
     # ------------------------------------------------------------------

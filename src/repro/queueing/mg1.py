@@ -130,8 +130,13 @@ class MG1Queue:
 
         ``phi_e`` is the rFFT of the equilibrium residual ``(1 - B(t)) /
         E[B]`` of the service lattice, binned by the trapezoid rule over
-        the lattice's bin edges and normalised to sum 1.  Mass beyond
-        the ``n`` kept bins stays out of them, as the lattice's tail.
+        the lattice's bin edges and divided by the service's analytic
+        mean.  The residual's mass beyond the ``n`` kept bins is left
+        out of them; the wait's bins below the horizon only sum
+        residuals below it, so they stay exact and the lost mass is the
+        lattice's tail.  Only a rounding excess over 1 is normalised
+        away: on a lattice that keeps the service's mean, the trapezoid
+        misses nothing else.
 
         Against wrap-around the FFT is zero-padded (``_PAD``) and damped:
         weighting bin ``k`` by ``theta**k`` commutes with convolution, so
@@ -150,14 +155,16 @@ class MG1Queue:
         resid = np.empty(n)
         resid[0] = 0.25 * (1.0 - self.service.atom_at_zero + sf[0])
         resid[1:] = 0.5 * (sf[:-1] + sf[1:])
-        resid /= resid.sum()
+        resid *= dt / self.service.mean
+        resid /= max(1.0, resid.sum())
+        beyond = 1.0 - resid.sum()
         m = 1 << int(np.ceil(np.log2(_PAD * n)))
         damp = _WRAP_TOL ** (np.arange(n) / m)
         # 1 - phi_e as the transform of delta_0 - damped residual, whose
         # atom is summed rather than cancelled: near rho = 1 the
         # denominator (1 - rho) + rho (1 - phi_e) then keeps its digits.
         lack = -resid * damp
-        lack[0] = resid[1:].sum()
+        lack[0] = resid[1:].sum() + beyond
         denom = (1.0 - rho) + rho * np.fft.rfft(lack, m)
         wait = np.fft.irfft((1.0 - rho) / denom, m)[:n] / damp
         return GridPMF(dt, np.clip(wait, 0.0, None))

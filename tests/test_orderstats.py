@@ -35,6 +35,7 @@ from repro.distributions import (
     order_statistic,
 )
 from repro.distributions.base import DistributionError
+from repro.queueing import MG1Queue
 
 TS = np.linspace(0.0, 5.0, 101)
 
@@ -107,6 +108,31 @@ class TestLatticeClosedForms:
         )
         want = Exponential(sum(rates)).to_grid(self.DT, self.BINS)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "queues",
+        [
+            [(20.0, 40.0)] * 2,
+            [(20.0, 40.0), (50.0, 60.0)],
+            [(36.0, 40.0), (10.0, 40.0), (30.0, 35.0)],
+        ],
+    )
+    def test_min_of_mm1_sojourns_on_the_lattice(self, queues):
+        """An M/M/1 sojourn is Exp(mu - lambda), so a first-wins race
+        over M/M/1 replicas is Exp(sum(mu - lambda)).  The replicas go
+        through the P--K wait lattice and its convolution with the
+        service, the whole path of a redundant read's race."""
+        races = [MG1Queue(lam, Exponential(mu)).sojourn_time() for lam, mu in queues]
+        rate = sum(mu - lam for lam, mu in queues)
+        if len(set(queues)) == 1:
+            race = KofN(races[0], 1, len(races))
+        else:
+            race = OrderStatistic(races, 1)
+        dt = 12.0 / rate / self.BINS
+        got = race.to_grid(dt, self.BINS)
+        exact = -np.expm1(-rate * (np.arange(self.BINS) + 0.5) * dt)
+        assert np.max(np.abs(got._cumulative - exact)) < 2e-6
+        assert math.isclose(race.mean, 1.0 / rate, rel_tol=1e-4)
 
     def test_moments_come_from_the_lattice(self, monkeypatch):
         """No CDF evaluation (hence no inversion) behind the moments."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributions import Degenerate, Exponential, Gamma
+from repro.distributions import Degenerate, Exponential, Gamma, Pareto
 from repro.queueing import (
     FiniteSourceQueue,
     MG1KQueue,
@@ -285,6 +285,20 @@ class TestLattices:
         exact = 1.0 - rho * np.exp(-(1.0 - rho) * mu * _edges(dt))
         assert np.max(np.abs(grid._cumulative - exact)) <= 1e-7
         assert grid.tail_mass == pytest.approx(1.0 - exact[-1], abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_pk_lattice_with_a_pareto_service_keeps_its_tail(self, alpha):
+        """A Pareto service leaves residual mass beyond a 12-mean horizon
+        (3.7% at alpha 2.5); the lattice keeps it out of the kept bins
+        and agrees with the inverted CDF instead of spreading it back."""
+        service = Pareto(alpha, 1e-3)
+        wait = MG1Queue(0.5 / service.mean, service).waiting_time()
+        dt = 12.0 * (wait.mean + service.mean) / LATTICE_BINS
+        grid = wait.to_grid(dt, LATTICE_BINS)
+        edges = _edges(dt)[::16]
+        inverted = np.asarray(wait.cdf(edges))
+        assert np.max(np.abs(grid._cumulative[::16] - inverted)) <= 1e-4
+        assert grid.tail_mass == pytest.approx(1.0 - inverted[-1], abs=1e-4)
 
     @pytest.mark.parametrize("lam, capacity", [(40.0, 3), (80.0, 16), (130.0, 8)])
     def test_mm1k_lattice_matches_mm1k_cdf(self, lam, capacity):
