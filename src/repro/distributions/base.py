@@ -37,6 +37,8 @@ Every distribution in this package therefore exposes:
 from __future__ import annotations
 
 import abc
+import math
+import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,40 +52,55 @@ class DistributionError(ValueError):
 
 
 #: Steps of the scalar search :meth:`Distribution.quantile` evaluates per
-#: ``cdf`` call: ``SEARCH_DEPTH`` bracket doublings, or the
-#: ``2**SEARCH_DEPTH - 1`` midpoints of the next ``SEARCH_DEPTH`` bisection
-#: levels.  4 measured fastest on 16-device mixtures; 5 is close.
+#: ``cdf`` call: ``SEARCH_DEPTH`` bracket doublings, or up to
+#: ``2**SEARCH_DEPTH - 1`` bisection midpoints -- along the path a root
+#: estimate predicts, or filling the next ``SEARCH_DEPTH`` levels once an
+#: estimate held for fewer steps than that.
 SEARCH_DEPTH = 4
 
 
-def _bisection_tree(lo: float, hi: float, depth: int, tol: float):
-    """The midpoints of the next ``depth`` bisection levels below ``(lo, hi)``.
+def _root_estimate(a: float, fa: float | None, b: float, fb: float | None, q: float):
+    """Where ``F`` reaches ``q`` inside ``(a, b)``, from the end values.
 
-    Returns ``(mids, slot)``.  ``slot`` is heap ordered -- node ``i``
-    has children ``2i + 1`` (the lower half) and ``2i + 2`` -- and holds
-    each node's index into ``mids``, or -1 where the node's interval
-    already meets the stopping rule (or an ancestor's did), so the
-    search stops there and nothing is evaluated.  Every midpoint is
-    computed from the same floats a one-step-at-a-time search would use.
+    A secant on ``log1p(-F)``, which a tail decaying like ``exp(-t /
+    scale)`` makes straight; a linear one on ``F`` where that log is not
+    finite (``fb == 1``); the midpoint where neither interpolates (an
+    end value unknown, or ``fa >= fb``).
     """
-    n = 2**depth - 1
-    bounds: list = [None] * n
-    bounds[0] = (lo, hi)
-    slot = [-1] * n
-    mids: list[float] = []
-    for i in range(n):
-        if bounds[i] is None:
+    if fa is not None and fb is not None and fa < q <= fb:
+        if fb < 1.0:
+            ga, gb = math.log1p(-fa), math.log1p(-fb)
+            r = a + (b - a) * (math.log1p(-q) - ga) / (gb - ga)
+        else:
+            r = a + (b - a) * (q - fa) / (fb - fa)
+        if a <= r <= b:
+            return r
+    return 0.5 * (a + b)
+
+
+def _plan(lo: float, hi: float, window: tuple, left: int, tol: float) -> list:
+    """Up to ``2**SEARCH_DEPTH - 1`` midpoints of the bisection below ``(lo, hi)``.
+
+    Breadth first, the nodes the search reaches if its root lies in
+    ``window = (r1, r2)``: one path for ``r1 == r2``, the whole tree for
+    ``(lo, hi)``.  A node is left out past ``left`` steps or once its
+    interval meets the stopping rule, as in the scalar search.
+    """
+    r1, r2 = window
+    out: list[float] = []
+    queue = [(lo, hi, 1)]
+    for x, y, depth in queue:
+        if len(out) == 2**SEARCH_DEPTH - 1:
+            break
+        if depth > left or y - x <= tol * max(1.0, y):
             continue
-        a, b = bounds[i]
-        if b - a <= tol * max(1.0, b):
-            continue
-        mid = 0.5 * (a + b)
-        slot[i] = len(mids)
-        mids.append(mid)
-        if 2 * i + 2 < n:
-            bounds[2 * i + 1] = (a, mid)
-            bounds[2 * i + 2] = (mid, b)
-    return mids, slot
+        mid = 0.5 * (x + y)
+        out.append(mid)
+        if mid >= r1:
+            queue.append((x, mid, depth + 1))
+        if mid < r2:
+            queue.append((mid, y, depth + 1))
+    return out
 
 
 class Distribution(abc.ABC):
@@ -197,10 +214,20 @@ class Distribution(abc.ABC):
         the interval is narrower than ``tol * max(1, hi)``.
 
         The answer is that of a scalar search, one ``cdf`` call per step,
-        but each ``cdf`` call here covers :data:`SEARCH_DEPTH` steps: the
-        next doubling points, or every midpoint of the next bisection
-        levels.  The batches are evaluated point-wise, so every value
-        equals that of a one-time call.
+        but each ``cdf`` call here covers up to :data:`SEARCH_DEPTH`
+        doublings, or up to ``2**SEARCH_DEPTH - 1`` bisection steps: the
+        midpoints the scalar search visits if the root lies where a
+        secant through the bracket puts it (:func:`_root_estimate`), or,
+        after an estimate held for fewer than ``SEARCH_DEPTH`` steps, the
+        next ``SEARCH_DEPTH`` levels of the bisection tree.  The walk
+        takes each step on the value at its midpoint, so a wrong estimate
+        costs calls, never the answer.  The batches are evaluated
+        point-wise, so every value equals that of a one-time call.
+
+        A ``RepairWarning`` flags a search whose values, in time order,
+        fall by more than ``REPAIR_WARN_MASS`` in all (the mass a running
+        max would move, as in :func:`repro.laplace.invert_cdf`): it
+        bisected inversion noise, not the CDF.
         """
         if not 0.0 <= q < 1.0:
             raise DistributionError(f"quantile level must be in [0, 1), got {q}")
@@ -212,12 +239,15 @@ class Distribution(abc.ABC):
                 )
         if q <= self.atom_at_zero:
             return 0.0
+        known: dict[float, float] = {}  # every point-wise value, by time
 
         def cdf_at(points: list[float]) -> np.ndarray:
-            return np.asarray(
+            values = np.asarray(
                 self.cdf(np.asarray(points), method=method, _pointwise=True),
                 dtype=float,
             )
+            known.update(zip(points, values.tolist()))
+            return values
 
         if bracket is None:
             lo = 0.0
@@ -232,24 +262,40 @@ class Distribution(abc.ABC):
                 hi = points[-1] * 2.0
             else:  # pragma: no cover - pathological transform
                 raise DistributionError("failed to bracket quantile")
+        # A batch follows the path the root estimate ``r`` predicts, or
+        # spans the whole next tree when the last estimate held for fewer
+        # than SEARCH_DEPTH steps; ``r`` is None once it has failed.
+        r, held = None, SEARCH_DEPTH
         left = 200  # bisection steps
-        while left > 0:
-            mids, slot = _bisection_tree(lo, hi, min(SEARCH_DEPTH, left), tol)
-            if not mids:
-                break
-            above = cdf_at(mids) >= q
-            node = 0
-            while node < len(slot) and slot[node] >= 0:
-                k = slot[node]
-                left -= 1
-                if above[k]:
-                    hi = mids[k]
-                    node = 2 * node + 1
-                else:
-                    lo = mids[k]
-                    node = 2 * node + 2
-            if node < len(slot):
-                break  # the interval met the tolerance inside the tree
+        while left > 0 and hi - lo > tol * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if mid not in known:
+                fa = known.get(lo, self.atom_at_zero if lo == 0.0 else None)
+                estimate = _root_estimate(lo, fa, hi, known.get(hi), q)
+                window = (estimate, estimate) if held >= SEARCH_DEPTH else (lo, hi)
+                cdf_at(_plan(lo, hi, window, left, tol))
+                r, held = estimate, 0
+            above = known[mid] >= q
+            left -= 1
+            if r is not None and above != (mid >= r):
+                r = None
+            held += r is not None
+            if above:
+                hi = mid
+            else:
+                lo = mid
+        values = np.array([f for _, f in sorted(known.items())])
+        fell = float((np.maximum.accumulate(values) - values).sum())
+        from repro.laplace.inversion import REPAIR_WARN_MASS, RepairWarning
+
+        if fell > REPAIR_WARN_MASS:
+            warnings.warn(
+                f"{type(self).__name__}.quantile({q}, method={method!r}): the "
+                f"cdf values searched fall with t by {fell:.3e} of mass -- "
+                "the bisection followed inversion noise",
+                RepairWarning,
+                stacklevel=2,
+            )
         return 0.5 * (lo + hi)
 
     # ------------------------------------------------------------------

@@ -114,13 +114,17 @@ def _equilibrium_wait(waiting_time: Distribution) -> Distribution:
     mean = waiting_time.mean
     if mean <= 0.0:
         return Degenerate(0.0)
-    # Span several means to capture the tail; the horizon mass is folded
-    # into the last bin by normalisation.
-    dt = 12.0 * mean / _EQ_GRID_BINS
-    t = np.arange(_EQ_GRID_BINS) * dt
-    sf = 1.0 - np.asarray(waiting_time.cdf(t), dtype=float)
-    np.clip(sf, 0.0, 1.0, out=sf)
-    probs = sf * dt / mean
+    # Span several means of the excess, E[W^2] / (2 E[W]): E[W] alone
+    # carries the zero atom, so at low load it undershoots the tail.  The
+    # density is binned by the trapezoid rule over the bin edges of the
+    # wait's lattice, whose bin k holds ((k - 1/2) dt, (k + 1/2) dt].
+    dt = 12.0 * waiting_time.second_moment / (2.0 * mean) / _EQ_GRID_BINS
+    cdf = np.cumsum(grid_of(waiting_time, dt, _EQ_GRID_BINS).probs)
+    sf = np.clip(1.0 - cdf, 0.0, 1.0)
+    probs = np.empty(_EQ_GRID_BINS)
+    probs[0] = 0.25 * (1.0 - waiting_time.atom_at_zero + sf[0])
+    probs[1:] = 0.5 * (sf[:-1] + sf[1:])
+    probs *= dt / mean
     total = probs.sum()
     if total > 1.0:
         probs /= total

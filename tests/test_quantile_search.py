@@ -1,8 +1,9 @@
 """The batched quantile search returns the scalar bisection's answers.
 
-:meth:`Distribution.quantile` evaluates several bisection levels per
-``cdf`` call, point-wise, so that every value it compares equals that of
-a one-time ``cdf`` call.  These tests keep a copy of the one-step-at-a-
+:meth:`Distribution.quantile` evaluates many bisection steps per ``cdf``
+call -- the path a root estimate predicts, or the next tree levels --
+point-wise, so that every value it compares equals that of a one-time
+``cdf`` call.  These tests keep a copy of the one-step-at-a-
 time search as the reference and require float-equal answers and equal
 ``RepairWarning`` counts across distributions, models, inversion methods
 and quantile levels; and they pin the point-wise inversion mode the
@@ -22,14 +23,16 @@ from repro.distributions import (
     Exponential,
     Gamma,
     GridDistribution,
+    GridPMF,
     KofN,
     Mixture,
     Scaled,
     Shifted,
+    Uniform,
     ZeroInflated,
     evalcache,
 )
-from repro.distributions.base import DistributionError
+from repro.distributions.base import DistributionError, _root_estimate
 from repro.laplace import invert_cdf
 from repro.laplace.inversion import RepairWarning
 from repro.model import (
@@ -45,6 +48,7 @@ from repro.model import (
 )
 from repro.simulator.faults import DiskSlowdown, schedule_of
 from repro.simulator.ring import HashRing
+from tests.test_redundant_reads import _skewed_params
 
 METHODS = ("euler", "talbot", "gaver")
 LEVELS = (0.5, 0.9, 0.99, 0.999)
@@ -131,6 +135,47 @@ def test_zero_inflated_levels_straddle_the_atom():
     assert LEVELS[0] <= dist.atom_at_zero < LEVELS[1]
     assert dist.quantile(LEVELS[0]) == 0.0
     assert dist.quantile(LEVELS[1]) > 0.0
+
+
+def _stepped_grid():
+    """Three lumps of mass with flat CDF stretches between them."""
+    probs = np.zeros(400)
+    probs[5:16] = 0.2 / 11
+    probs[200:211] = 0.5 / 11
+    probs[300:306] = 0.3 / 6
+    return GridDistribution(GridPMF(1e-3, probs))
+
+
+@pytest.mark.parametrize("q", LEVELS + (0.9999,))
+def test_law_reaching_one_matches_scalar_search(q):
+    """The first bracket ends where the CDF is exactly 1, so the root
+    estimate cannot take ``log1p(-1)`` and interpolates linearly."""
+    dist = Uniform(0.01, 0.03)
+    assert dist.cdf(2.0 * dist.mean) == 1.0
+    assert_same_search(dist, q, "euler")
+
+
+def test_flat_grid_matches_scalar_search():
+    dist = _stepped_grid()
+    flat = float(dist.cdf(0.1))  # the level of the first flat stretch
+    for q in (0.1, flat, np.nextafter(flat, 1.0), 0.5, 0.7, 0.95, 0.9999):
+        assert_same_search(dist, q, "euler")
+    # Brackets inside a flat stretch, below and above the level sought.
+    for bracket in [(0.05, 0.15), (0.22, 0.28), (0.0, 0.18)]:
+        assert_same_search(dist, 0.5, "euler", bracket=bracket)
+
+
+def test_root_estimate_fallbacks():
+    # A secant on log1p(-F): exact for an exponential tail.
+    a, b = 1.0, 3.0
+    r = _root_estimate(a, 1.0 - np.exp(-a), b, 1.0 - np.exp(-b), 1.0 - np.exp(-2.5))
+    assert r == pytest.approx(2.5, rel=1e-12)
+    # Linear where the upper end is exactly 1.
+    assert _root_estimate(0.0, 0.2, 2.0, 1.0, 0.6) == pytest.approx(1.0)
+    # The midpoint with an end value unknown, equal or out of order.
+    assert _root_estimate(0.0, None, 2.0, 0.9, 0.5) == 1.0
+    assert _root_estimate(0.0, 0.5, 2.0, 0.5, 0.5) == 1.0
+    assert _root_estimate(0.0, 0.6, 2.0, 0.4, 0.5) == 1.0
 
 
 @pytest.mark.parametrize("bracket", [(0.0, 0.5), (0.001, 0.04), (0.0, 1e-6)])
@@ -242,6 +287,110 @@ def test_model_matches_scalar_search(name, method):
         )
 
 
+#: (index, meta, data) miss-ratio bands of the benchmark's what-if sets.
+WHATIF_BANDS = {
+    1: ((0.30, 0.50), (0.35, 0.55), (0.70, 0.85)),
+    16: ((0.20, 0.30), (0.27, 0.35), (0.70, 0.80)),
+}
+
+
+def _whatif_params(n_processes: int, seed: int) -> SystemParameters:
+    """16 devices at 0.2-0.7 of the shape's largest stable rate."""
+    bands = WHATIF_BANDS[n_processes]
+    frontend = FrontendParameters(12, Degenerate(0.001))
+
+    def device(name, rate, miss_u):
+        miss = [lo + u * (hi - lo) for u, (lo, hi) in zip(miss_u, bands)]
+        return DeviceParameters(
+            name,
+            rate,
+            rate * 1.04,
+            CacheMissRatios(*miss),
+            DISK,
+            Degenerate(0.0004),
+            n_processes,
+        )
+
+    top = SystemParameters(frontend, (device("top", 1.0, (1.0, 1.0, 1.0)),))
+    rate_max = LatencyPercentileModel(top).max_stable_scale()
+    rng = np.random.default_rng(seed)
+    return SystemParameters(
+        frontend,
+        tuple(
+            device(f"d{j}", rng.uniform(0.2, 0.7) * rate_max, rng.random(3))
+            for j in range(16)
+        ),
+    )
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("n_processes", [1, 16])
+def test_whatif_sets_match_scalar_search(n_processes, q):
+    model = LatencyPercentileModel(_whatif_params(n_processes, seed=3))
+    assert assert_same_search(model.system_latency, q, "euler") == 0
+
+
+SATURATION_LOADS = (0.5, 0.9, 0.99, 0.999)
+SATURATION_LEVELS = (0.5, 0.99, 0.9999)
+
+
+@pytest.fixture(scope="module")
+def near_saturation():
+    """The skewed four-device S1/S16 sets at fractions of their largest
+    stable load, where the inversion's noise reaches the searched tail."""
+    laws = {}
+    for n_processes in (1, 16):
+        params = _skewed_params(n_processes)
+        top = LatencyPercentileModel(params).max_stable_scale(tol=1e-6)
+        for load in SATURATION_LOADS:
+            model = LatencyPercentileModel(params.scaled(load * top))
+            laws[n_processes, load] = model.system_latency
+    return laws
+
+
+def _searched(dist, q):
+    """``dist.quantile(q)`` on an empty memo, with its cdf calls and
+    RepairWarnings."""
+    calls = 0
+    cdf = type(dist).cdf
+
+    def counting(self, t, **kwargs):
+        nonlocal calls
+        calls += self is dist
+        return cdf(self, t, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(dist), "cdf", counting)
+        value, warned = _with_warnings(lambda: dist.quantile(q))
+    return value, calls, warned
+
+
+@pytest.mark.parametrize("load", SATURATION_LOADS)
+@pytest.mark.parametrize("n_processes", [1, 16])
+def test_near_saturation_matches_scalar_search(near_saturation, n_processes, load):
+    dist = near_saturation[n_processes, load]
+    for q in SATURATION_LEVELS:
+        want, _ = _with_warnings(lambda: reference_quantile(dist, q))
+        assert _searched(dist, q)[0] == want
+
+
+def test_near_saturation_flags_noise_within_call_budget(near_saturation):
+    """Toward saturation the tail's inverted values are noise: the
+    search warns there and nowhere at half load.  It falls back to whole
+    tree levels once its estimate fails early, so it needs no more calls
+    than evaluating the whole tree every time: 217 in all here, and at
+    most 11 in one search."""
+    searches = {
+        (key, q): _searched(dist, q)
+        for key, dist in near_saturation.items()
+        for q in SATURATION_LEVELS
+    }
+    calls = [calls for _, calls, _ in searches.values()]
+    assert sum(calls) <= 217 and max(calls) <= 11
+    assert searches[(16, 0.999), 0.9999][2] == 1
+    assert not any(searches[(n, 0.5), q][2] for n in (1, 16) for q in SATURATION_LEVELS)
+
+
 # ----------------------------------------------------------------------
 # point-wise inversion
 # ----------------------------------------------------------------------
@@ -317,6 +466,8 @@ def test_search_batches_are_pointwise(monkeypatch):
     monkeypatch.setattr(type(body), "cdf", spy)
     body.quantile(0.99)
     assert seen and all(pointwise for _, pointwise in seen)
-    # Far fewer calls than one per bisection step.
-    assert len(seen) <= 12
+    # Far fewer calls than one per bisection step (about 30), and few
+    # points beyond the steps taken.
+    assert len(seen) <= 4
+    assert sum(n for n, _ in seen) <= 41
     assert max(n for n, _ in seen) > 1

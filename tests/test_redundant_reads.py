@@ -37,6 +37,8 @@ from repro.model import (
     redundant_sla_percentile,
     replica_sets_from_ring,
 )
+from repro.model.backend import BackendModel
+from repro.model.frontend import accept_wait
 from repro.model.redundancy import _MASS_THRESHOLD
 from repro.queueing import UnstableQueueError
 from repro.simulator import Cluster, ClusterConfig
@@ -546,6 +548,23 @@ class TestRedundantModel:
         )
         race = model._rows[0][0]
         assert 0.0 < race.mean < 0.1
+        assert 0.9 < model.sla_percentile(self.SLA) <= 1.0
+
+    @pytest.mark.parametrize("n_processes", [1, 16])
+    def test_equilibrium_accept_wait_keeps_its_mass(self, replica_rows, n_processes):
+        """The accept-wait lattice spans the excess law's mean, not the
+        wait's: at S16's low loads the wait is mostly its zero atom, and
+        a span of E[W] lost over half of the excess mass."""
+        params = _skewed_params(n_processes)
+        for device in params.devices:
+            wait = BackendModel.solve(device).waiting_time
+            excess = accept_wait(wait, "equilibrium")
+            assert excess.grid.probs.sum() == pytest.approx(1.0, abs=1e-5)
+            expected = wait.second_moment / (2.0 * wait.mean)
+            assert excess.mean == pytest.approx(expected, rel=0.01)
+        model = RedundantLatencyModel(
+            params, replica_rows, strategy="kofn", fanout=2, accept_mode="equilibrium"
+        )
         assert 0.9 < model.sla_percentile(self.SLA) <= 1.0
 
     def test_constructor_still_rejects_a_saturated_device(
