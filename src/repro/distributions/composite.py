@@ -139,6 +139,11 @@ class Mixture(Distribution):
         return out
 
     def cdf(self, t, **kwargs):
+        # Inversion is linear, so when every component would invert its
+        # own transform, one inversion of ``sum_i w_i L_i(s)`` serves
+        # the whole mixture: one node sum, memo entry and repair.
+        if all(type(c).cdf is Distribution.cdf for c in self.components):
+            return Distribution.cdf(self, t, **kwargs)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for w, c in zip(self.weights, self.components):

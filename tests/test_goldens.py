@@ -39,6 +39,11 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 SEED = 7
 ATOL = 1e-9
 
+#: No golden may pin a number the inversion flags as non-converged.
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.laplace.inversion.RepairWarning"
+)
+
 
 def _small(scenario, rates):
     return dataclasses.replace(
@@ -172,7 +177,6 @@ def test_fig5_golden(update_goldens):
     _check_golden("fig5.json", doc, update_goldens)
 
 
-@pytest.mark.filterwarnings("error::repro.laplace.inversion.RepairWarning")
 def test_redundancy_kofn_sweep_golden(update_goldens):
     """Pin the k-of-n sweep (paired strategy/control episodes plus the
     order-statistic predictions) over S1/S16 at k in {1, 2, 3}.  The

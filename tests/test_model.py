@@ -1,11 +1,15 @@
 """Tests for the analytic model: union op, backend, frontend, system."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions import Degenerate, Exponential, Gamma
+from repro.laplace.inversion import RepairWarning
 from repro.model import (
     ACCEPT_WAIT_MODES,
     BackendModel,
@@ -30,6 +34,7 @@ from repro.model import (
 )
 from repro.queueing import MG1Queue, UnstableQueueError
 from repro.simulator.faults import DiskSlowdown, FaultSchedule
+from tests.test_redundant_reads import _skewed_params
 
 
 class TestParameters:
@@ -270,6 +275,64 @@ class TestSystemModel:
         m = LatencyPercentileModel(system_params)
         with pytest.raises(ParameterError):
             m.device_latency("devX")
+
+
+@pytest.fixture(scope="module")
+def stable_scales():
+    """Per shape: the skewed four-device set and its largest stable load."""
+    scales = {}
+    for n_processes in (1, 16):
+        params = _skewed_params(n_processes)
+        scales[n_processes] = (
+            params,
+            LatencyPercentileModel(params).max_stable_scale(tol=1e-6),
+        )
+    return scales
+
+
+def _half_window_slowdown(params):
+    """The degraded model over (0, 10) s with the least-loaded disk 2x
+    slower for the first half."""
+    schedule = FaultSchedule((DiskSlowdown(device=3, start=0.0, end=5.0, factor=2.0),))
+    return DegradedLatencyModel(params, schedule, (0.0, 10.0))
+
+
+class TestTowardSaturation:
+    """Toward rho -> 1 the inverting models give CDF values that are
+    finite, in [0, 1] and non-decreasing in the SLA, or raise
+    :class:`UnstableQueueError`; up to 0.9 of the largest stable load
+    neither the SLA values nor a p99 search warn of a repair."""
+
+    SLAS = (0.01, 0.05, 0.1, 0.5, 2.0)
+
+    @given(
+        build=st.sampled_from(["base", "degraded"]),
+        n_processes=st.sampled_from([1, 16]),
+        # The load is ``1 - 10**gap`` of the largest stable multiplier.
+        gap=st.floats(min_value=-5.0, max_value=-0.3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_finite_monotone_or_unstable(self, stable_scales, build, n_processes, gap):
+        params, top = stable_scales[n_processes]
+        load = 1.0 - 10.0**gap
+        scaled = params.scaled(top * load)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RepairWarning)
+            try:
+                if build == "base":
+                    model = LatencyPercentileModel(scaled)
+                else:
+                    model = _half_window_slowdown(scaled)
+                answers = model.sla_percentiles(self.SLAS)
+                p99 = model.latency_quantile(0.99)
+            except UnstableQueueError:
+                return
+        assert np.all(np.isfinite(answers))
+        assert np.all((answers >= 0.0) & (answers <= 1.0))
+        assert np.all(np.diff(answers) >= 0.0)
+        assert np.isfinite(p99) and p99 > 0.0
+        if load <= 0.9:
+            assert not any(issubclass(w.category, RepairWarning) for w in caught)
 
 
 class TestFrontendQueueBuiltOnce:
