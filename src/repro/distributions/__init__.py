@@ -40,7 +40,7 @@ from repro.distributions.composite import (
     zero_inflate,
 )
 from repro.distributions.grid import GridDistribution, GridPMF, LatticeError, grid_of
-from repro.distributions.orderstats import KofN, OrderStatistic, order_statistic
+from repro.distributions.orderstats import OrderStatistic, order_statistic
 from repro.distributions.tails import Pareto, ShiftedExponential, Weibull
 from repro.distributions.fitting import (
     DEFAULT_FAMILIES,
@@ -80,7 +80,6 @@ __all__ = [
     "GridPMF",
     "LatticeError",
     "grid_of",
-    "KofN",
     "OrderStatistic",
     "order_statistic",
     "Pareto",

@@ -39,12 +39,9 @@ __all__ = [
     "cached_inversion",
     "clear",
     "stats",
-    "set_enabled",
-    "set_max_entries",
 ]
 
-#: Per-cache entry bound.  Adjustable at runtime via
-#: :func:`set_max_entries` (long parameter sweeps may want it smaller).
+#: Per-cache entry bound.
 MAX_ENTRIES = 4096
 
 #: Per-cache bound on the bytes of the cached values (``ndarray.nbytes``,
@@ -65,8 +62,8 @@ def _charge(value) -> int:
 
 
 class _Lru:
-    """An LRU bounded by the entry bound (:func:`set_max_entries`) and
-    by :data:`MAX_BYTES` of held value arrays."""
+    """An LRU bounded by :data:`MAX_ENTRIES` entries and by
+    :data:`MAX_BYTES` of held value arrays."""
 
     __slots__ = ("_entries", "nbytes", "hits", "misses", "evictions")
 
@@ -105,13 +102,13 @@ class _Lru:
             self.nbytes = sum(c for _, c in entries.values())
         else:
             self.nbytes += charge
-        if len(entries) > _max_entries or self.nbytes > MAX_BYTES:
+        if len(entries) > MAX_ENTRIES or self.nbytes > MAX_BYTES:
             self.trim()
 
     def trim(self) -> None:
         """Evict least-recent entries until both bounds hold."""
         entries = self._entries
-        while len(entries) > _max_entries or self.nbytes > MAX_BYTES:
+        while len(entries) > MAX_ENTRIES or self.nbytes > MAX_BYTES:
             self.nbytes -= entries.popitem(last=False)[1][1]
             self.evictions += 1
 
@@ -124,7 +121,6 @@ class _Lru:
 
 
 _enabled = True
-_max_entries = MAX_ENTRIES
 _laplace = _Lru()
 _grids = _Lru()
 _inversions = _Lru()
@@ -132,21 +128,11 @@ _caches = (_laplace, _grids, _inversions)
 _calls = {"laplace": 0, "grid": 0, "inversion": 0}
 
 
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable memoisation (used by benchmarks/tests)."""
-    global _enabled
-    _enabled = bool(enabled)
-    if not _enabled:
-        clear()
-
-
 @contextlib.contextmanager
 def bypass():
     """Temporarily disable memoisation *without* dropping cached entries.
 
-    Unlike :func:`set_enabled(False) <set_enabled>` -- which clears the
-    caches so stale state cannot linger across a configuration change --
-    this leaves every entry in place and simply falls through uncached
+    Every entry stays in place; evaluation simply falls through uncached
     for the duration.  The diagnostics layer needs exactly that: its
     cross-check and half-term re-inversions must not insert entries (or
     trigger LRU evictions) that would perturb the cache state the
@@ -160,16 +146,6 @@ def bypass():
         yield
     finally:
         _enabled = prev
-
-
-def set_max_entries(n: int) -> None:
-    """Re-bound each LRU to ``n`` entries, evicting immediately if over."""
-    global _max_entries
-    if n < 1:
-        raise ValueError(f"max entries must be >= 1, got {n}")
-    _max_entries = int(n)
-    for cache in _caches:
-        cache.trim()
 
 
 def clear() -> None:
@@ -191,7 +167,7 @@ def stats() -> dict:
         "hits": sum(c.hits for c in _caches),
         "misses": sum(c.misses for c in _caches),
         "evictions": sum(c.evictions for c in _caches),
-        "max_entries": _max_entries,
+        "max_entries": MAX_ENTRIES,
         "max_bytes": MAX_BYTES,
         "laplace_calls": _calls["laplace"],
         "grid_calls": _calls["grid"],

@@ -152,10 +152,6 @@ class GridPMF:
         out = full[:n]
         return GridPMF(self.dt, out)
 
-    def convolve_all(self, others, *, n: int | None = None) -> "GridPMF":
-        """Convolve with every grid in ``others`` (see :func:`convolve_many`)."""
-        return convolve_many([self, *others], n=n)
-
     def mixture(self, other: "GridPMF", weight_self: float) -> "GridPMF":
         """Two-component mixture on a common grid."""
         self._check_compatible(other)

@@ -4,17 +4,15 @@ Redundant read dispatch (docs/REDUNDANCY.md) turns per-device sojourn
 laws into *order statistics*: a speculative ``k``-of-``n`` read responds
 at the minimum of ``k`` independent replica sojourns, a quorum GET at
 the majority-th, a fork-join striped read at the maximum of its ``k``
-fragment reads.  For independent components the CDF has the exact
-binomial form
+fragment reads.  For independent components the CDF is the exact
+Poisson-binomial tail
 
     F_(k:n)(t) = P(at least k of n components are <= t)
-               = sum_{j>=k} C(n,j) F(t)^j (1 - F(t))^(n-j)
-               = I_{F(t)}(k, n - k + 1)            (iid case)
 
-where ``I`` is the regularised incomplete beta function, and the
-Poisson-binomial generalisation when components differ.  Neither has a
-closed-form Laplace transform (``has_laplace`` is ``False``), so order
-statistics compose with the rest of the model in the *CDF/grid* domain.
+which for iid components is the binomial sum
+``sum_{j>=k} C(n,j) F(t)^j (1 - F(t))^(n-j)``.  It has no closed-form
+Laplace transform (``has_laplace`` is ``False``), so order statistics
+compose with the rest of the model in the *CDF/grid* domain.
 :meth:`to_grid` applies the same tail identity bin edge by bin edge to
 the children's lattice CDFs (their :func:`~repro.distributions.grid
 .grid_of` discretisations), so a statistic over queueing composites
@@ -24,11 +22,11 @@ every discretisation per ``cache_token`` through
 :mod:`repro.distributions.evalcache` -- the same node-sharing that
 batches Mixture/Convolution evaluation.
 
-Node sharing inside one evaluation: :class:`KofN` evaluates its (shared)
-child once per ``t`` batch or lattice regardless of ``n``, and
-:class:`OrderStatistic` deduplicates children by value identity
-(``cache_token``) before running the Poisson-binomial recurrence, so a
-device set containing equal sojourn laws costs one child evaluation.
+Node sharing inside one evaluation: :class:`OrderStatistic`
+deduplicates children by value identity (``cache_token``, or the object
+itself when uncacheable) before running the Poisson-binomial
+recurrence, so ``n`` copies of one law, or a device set containing
+equal sojourn laws, cost one child evaluation.
 """
 
 from __future__ import annotations
@@ -36,13 +34,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc
 
 from repro.distributions.base import Distribution, DistributionError
 from repro.distributions.composite import _child_tokens
 from repro.distributions.grid import GridPMF, grid_of
 
-__all__ = ["KofN", "OrderStatistic", "order_statistic"]
+__all__ = ["OrderStatistic", "order_statistic"]
 
 #: "Token not yet computed" sentinel (see composite.py: ``None`` is a
 #: valid token value and the sentinel must survive pickling).
@@ -52,12 +49,6 @@ _UNSET = False
 #: statistics have no closed-form moments in general).
 _MOMENT_BINS = 4096
 _MOMENT_TAIL = 1e-10
-
-
-def _binomial_tail(k: int, n: int, p):
-    """``P(Binomial(n, p) >= k)`` via the regularised incomplete beta
-    function ``I_p(k, n - k + 1)`` (exact, vectorised over ``p``)."""
-    return betainc(k, n - k + 1, p)
 
 
 def _poisson_binomial_tail(ps: np.ndarray, k: int) -> np.ndarray:
@@ -141,101 +132,15 @@ def _lattice_moments(dist: Distribution, scale: float) -> tuple[float, float]:
     return float(t @ grid.probs), float((t * t) @ grid.probs)
 
 
-class KofN(Distribution):
-    """k-th order statistic of ``n`` iid copies of one distribution.
-
-    ``k = 1`` is the minimum (speculative first-response-wins), ``k = n``
-    the maximum (fork-join completion), ``k = n//2 + 1`` the majority
-    (quorum GET).  The CDF is the exact binomial identity evaluated
-    through ``betainc``; the shared child is evaluated once per batch,
-    and :meth:`to_grid` applies it to the child's lattice CDF.
-    """
-
-    __slots__ = ("component", "k", "n", "_token", "_moments")
-
-    has_laplace = False
-
-    def __init__(self, component: Distribution, k: int, n: int) -> None:
-        k = int(k)
-        n = int(n)
-        if n < 1:
-            raise DistributionError(f"need at least one component, got n={n}")
-        if not 1 <= k <= n:
-            raise DistributionError(f"order k={k} out of range for n={n}")
-        self.component = component
-        self.k = k
-        self.n = n
-        self._token = _UNSET
-        self._moments: tuple[float, float] | None = None
-
-    def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            child = self.component.cache_token()
-            token = None if child is None else ("kofn", self.k, self.n, child)
-            self._token = token
-        return token
-
-    @property
-    def atom_at_zero(self) -> float:
-        return float(_binomial_tail(self.k, self.n, self.component.atom_at_zero))
-
-    def laplace(self, s):
-        raise DistributionError(
-            "order statistics have no closed-form Laplace transform; "
-            "compose them in the CDF/grid domain (grid_of / to_grid)"
-        )
-
-    def cdf(self, t, **kwargs):
-        f = np.clip(
-            np.asarray(self.component.cdf(t, **kwargs), dtype=float), 0.0, 1.0
-        )
-        return np.asarray(_binomial_tail(self.k, self.n, f))[()]
-
-    def to_grid(self, dt: float, n: int) -> GridPMF:
-        f = _lattice_cdf(self.component, dt, n)
-        return _grid_from_edges(dt, _binomial_tail(self.k, self.n, f))
-
-    def _ensure_moments(self) -> tuple[float, float]:
-        moments = self._moments
-        if moments is None:
-            moments = _lattice_moments(self, self.component.mean)
-            self._moments = moments
-        return moments
-
-    @property
-    def mean(self) -> float:
-        return self._ensure_moments()[0]
-
-    @property
-    def second_moment(self) -> float:
-        return self._ensure_moments()[1]
-
-    def sample(self, rng: np.random.Generator, size=None):
-        scalar = size is None
-        count = 1 if scalar else int(np.prod(size))
-        draws = np.asarray(
-            self.component.sample(rng, size=(self.n, count)), dtype=float
-        ).reshape(self.n, count)
-        out = np.partition(draws, self.k - 1, axis=0)[self.k - 1]
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"KofN(k={self.k}, n={self.n}, component={self.component!r})"
-
-
 class OrderStatistic(Distribution):
-    """k-th order statistic of independent *heterogeneous* components.
+    """k-th order statistic of independent components.
 
     The CDF is the Poisson-binomial tail ``P(at least k of the component
     indicators 1{X_i <= t} fire)``, computed by the product-polynomial
     recurrence vectorised over ``t`` (or over the bin edges of the
     children's lattices, in :meth:`to_grid`).  Children that denote the
     same law (equal ``cache_token``) are evaluated once and their
-    probabilities reused -- mixed device sets with repeated sojourn laws
-    batch like the iid case.
+    probabilities reused, so iid components cost one evaluation.
     """
 
     __slots__ = ("components", "k", "_token", "_moments")
@@ -334,28 +239,9 @@ class OrderStatistic(Distribution):
 def order_statistic(components, k: int) -> Distribution:
     """Build the k-th order statistic of independent components.
 
-    Collapses trivial structure exactly:
-
-    * one component (``n = 1``, forcing ``k = 1``) returns the child
-      itself -- the identity the k=1 reduction argument rests on;
-    * components that all denote the same law (same object, or equal
-      non-``None`` cache tokens) build the iid :class:`KofN`, whose
-      binomial-identity CDF evaluates the shared child once;
-    * anything else builds the Poisson-binomial :class:`OrderStatistic`.
+    One component (``n = 1``, forcing ``k = 1``) returns the child itself
+    -- the identity the k=1 reduction argument rests on; anything else
+    builds the Poisson-binomial :class:`OrderStatistic`.
     """
-    components = tuple(components)
-    n = len(components)
-    if n < 1:
-        raise DistributionError("need at least one component")
-    k = int(k)
-    if not 1 <= k <= n:
-        raise DistributionError(f"order k={k} out of range for n={n}")
-    if n == 1:
-        return components[0]
-    first = components[0]
-    if all(c is first for c in components[1:]):
-        return KofN(first, k, n)
-    tokens = [c.cache_token() for c in components]
-    if tokens[0] is not None and all(tok == tokens[0] for tok in tokens[1:]):
-        return KofN(first, k, n)
-    return OrderStatistic(components, k)
+    statistic = OrderStatistic(components, k)
+    return statistic.components[0] if statistic.n == 1 else statistic

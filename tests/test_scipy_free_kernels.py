@@ -280,7 +280,7 @@ GUARD_SCRIPT = textwrap.dedent(
     import dataclasses, sys
 
     import repro.cli  # noqa: F401
-    from repro.distributions import Exponential, KofN
+    from repro.distributions import Exponential, order_statistic
     from repro.experiments import calibrate, scenario_s1
     from repro.model import (
         CacheMissRatios, DeviceParameters, FrontendParameters,
@@ -298,7 +298,7 @@ GUARD_SCRIPT = textwrap.dedent(
     frontend = FrontendParameters(4, cal.parse_benchmark.frontend)
     model = LatencyPercentileModel(SystemParameters(frontend, (device,)))
     assert 0.0 < model.sla_percentile(0.05) <= 1.0
-    KofN(Exponential(50.0), 2, 3).cdf([0.01, 0.02])
+    order_statistic([Exponential(50.0)] * 3, 2).cdf([0.01, 0.02])
     loaded = sorted(m for m in sys.modules if m.split(".")[:2] in
                     (["scipy", "stats"], ["scipy", "optimize"]))
     print(",".join(loaded))
@@ -307,7 +307,7 @@ GUARD_SCRIPT = textwrap.dedent(
 
 
 def test_import_guard_no_scipy_stats_or_optimize():
-    """CLI import, calibration, an SLA query and a KofN cdf load neither."""
+    """CLI import, calibration, an SLA query and an order-statistic cdf load neither."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
