@@ -12,7 +12,7 @@ from repro.simulator.backend import (
     StorageDevice,
     StorageProcess,
 )
-from repro.simulator.cache import LruCache, StampLru
+from repro.simulator.cache import StampLru
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.core import SimulationError, Simulator
 from repro.simulator.disk import OP_DATA, OP_INDEX, OP_META, Disk, HddProfile
@@ -52,7 +52,6 @@ __all__ = [
     "DeviceCounters",
     "StorageDevice",
     "StorageProcess",
-    "LruCache",
     "StampLru",
     "Cluster",
     "ClusterConfig",

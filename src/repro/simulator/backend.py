@@ -40,7 +40,7 @@ from collections import deque
 import numpy as np
 
 from repro.distributions import Degenerate, Distribution
-from repro.simulator.cache import LruCache, StampLru
+from repro.simulator.cache import StampLru
 from repro.simulator.core import Simulator
 from repro.simulator.disk import OP_DATA, OP_INDEX, OP_META, OP_WRITE, Disk
 from repro.simulator.network import NetworkProfile
@@ -321,6 +321,7 @@ class StorageDevice:
         "accept_overhead",
         "chunk_bytes",
         "object_sizes",
+        "_chunk_base",
         "counters",
         "parse_dist",
         "on_complete",
@@ -343,11 +344,12 @@ class StorageDevice:
         device_id: int,
         name: str,
         disk: Disk,
-        caches: tuple[StampLru, StampLru, LruCache],
+        caches: tuple[StampLru, StampLru, StampLru],
         network: NetworkProfile,
         n_processes: int,
         chunk_bytes: int,
         object_sizes: np.ndarray,
+        chunk_base: np.ndarray,
         parse_dist: Distribution,
         rng: np.random.Generator,
         accept_overhead: float = 5e-5,
@@ -373,6 +375,9 @@ class StorageDevice:
         self.accept_overhead = accept_overhead
         self.chunk_bytes = chunk_bytes
         self.object_sizes = object_sizes
+        #: Object ``obj``'s first chunk id in the data cache
+        #: (``cache.chunk_layout``; one array shared by the cluster).
+        self._chunk_base = memoryview(chunk_base)
         self.counters = DeviceCounters()
         self.parse_dist = parse_dist
         self.on_complete = None  # wired by the cluster to the recorder
@@ -448,7 +453,7 @@ class StorageDevice:
         return float(self.parse_dist.sample(self._rng))
 
     def read_index(self, req: Request, cont) -> None:
-        if self.index_cache.access(req.object_id, INDEX_ENTRY_BYTES):
+        if self.index_cache.access(req.object_id):
             self.counters.index_hits += 1
             cont(req)
         else:
@@ -456,7 +461,7 @@ class StorageDevice:
             self.disk.submit_op(OP_INDEX, INDEX_ENTRY_BYTES, cont, req, None, req.rid)
 
     def read_meta(self, req: Request, cont) -> None:
-        if self.meta_cache.access(req.object_id, META_ENTRY_BYTES):
+        if self.meta_cache.access(req.object_id):
             self.counters.meta_hits += 1
             cont(req)
         else:
@@ -465,15 +470,16 @@ class StorageDevice:
 
     def read_chunk(self, req: Request, idx: int, cont) -> None:
         self.counters.chunk_reads += 1
-        nbytes = self.chunk_size_of(req, idx)
         # chunk_offset shifts fork-join fragment reads into the parent
         # object's chunk space (0 for whole-object requests), so cache
         # keys stay per-object-chunk across fragments.
-        if self.data_cache.access((req.object_id, req.chunk_offset + idx), nbytes):
+        key = self._chunk_base[req.object_id] + req.chunk_offset + idx
+        if self.data_cache.access(key):
             self.counters.data_hits += 1
             cont(req, idx)
         else:
             self.counters.data_misses += 1
+            nbytes = self.chunk_size_of(req, idx)
             self.disk.submit_op(OP_DATA, nbytes, cont, req, idx, req.rid)
 
     # ------------------------------------------------------------------
@@ -484,16 +490,16 @@ class StorageDevice:
         disk like it does for reads, and the written chunk lands in the
         page cache (write-through)."""
         self.counters.chunk_writes += 1
+        self.data_cache.access(self._chunk_base[req.object_id] + idx)
         nbytes = self.chunk_size_of(req, idx)
-        self.data_cache.access((req.object_id, idx), nbytes)
         self.disk.submit_op(OP_WRITE, nbytes, cont, req, idx, req.rid)
 
     def finalize_write(self, req: Request, cont) -> None:
         """Commit the object's metadata (inode + xattrs) after the last
         chunk: one small durable write, then the index and metadata
         caches hold the fresh entries."""
-        self.index_cache.access(req.object_id, INDEX_ENTRY_BYTES)
-        self.meta_cache.access(req.object_id, META_ENTRY_BYTES)
+        self.index_cache.access(req.object_id)
+        self.meta_cache.access(req.object_id)
         self.disk.submit_op(
             OP_WRITE, INDEX_ENTRY_BYTES + META_ENTRY_BYTES, cont, req, None, req.rid
         )
@@ -502,12 +508,12 @@ class StorageDevice:
         """Tombstone the object: one small durable write, and every
         cached entry of the object is invalidated (Swift unlinks the
         .data file and drops a .ts tombstone)."""
-        self.index_cache.evict(req.object_id)
-        self.meta_cache.evict(req.object_id)
-        size = int(self.object_sizes[req.object_id])
-        n_chunks = max(1, -(-size // self.chunk_bytes))
-        for idx in range(n_chunks):
-            self.data_cache.evict((req.object_id, idx))
+        obj = req.object_id
+        self.index_cache.evict(obj)
+        self.meta_cache.evict(obj)
+        base = self._chunk_base
+        for key in range(base[obj], base[obj + 1]):
+            self.data_cache.evict(key)
         self.disk.submit_op(OP_WRITE, 512, cont, req, None, req.rid)
 
     def send_write_ack(self, req: Request) -> None:
@@ -586,29 +592,3 @@ class StorageDevice:
         """
         req.completion_time = self.sim.now
         req.parent.red.owner.probe_aborted(req, idx)
-
-    # ------------------------------------------------------------------
-    def warm(self, object_ids: np.ndarray) -> None:
-        """Pre-populate the cache as a long warmup phase would, without
-        simulating time (the paper warms for 3 hours of wall clock; we
-        replay the accesses against the cache directly)."""
-        for obj in object_ids:
-            obj = int(obj)
-            size = int(self.object_sizes[obj])
-            n_chunks = max(1, -(-size // self.chunk_bytes))
-            self.warm_one(obj, n_chunks, size - (n_chunks - 1) * self.chunk_bytes)
-
-    def warm_one(self, obj: int, n_chunks: int, last_chunk_bytes: int) -> None:
-        """One warmup access with pre-computed chunk geometry.
-
-        The cluster warm loop runs this a quarter-million times per
-        scenario; the chunk counts and tail sizes are vectorised once up
-        front instead of being re-derived per access.
-        """
-        self.index_cache.access(obj, INDEX_ENTRY_BYTES)
-        self.meta_cache.access(obj, META_ENTRY_BYTES)
-        access = self.data_cache.access
-        chunk_bytes = self.chunk_bytes
-        for idx in range(n_chunks - 1):
-            access((obj, idx), chunk_bytes)
-        access((obj, n_chunks - 1), last_chunk_bytes)

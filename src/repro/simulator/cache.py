@@ -6,228 +6,62 @@ RAM-to-disk ratios of 1:300 to 1:800), so index lookups, metadata reads
 *and* data reads all miss with workload-dependent ratios -- the
 ``m_index, m_meta, m_data`` online metrics of the model.
 
-Two exact LRUs with byte-accurate charging stand in for the Linux page
-cache + XFS inode/dentry caches of the testbed; one set per backend
-server, since all devices on a server share its memory:
+One exact LRU with byte-accurate charging, :class:`StampLru`, stands in
+for the Linux page cache and the XFS inode/dentry caches of the
+testbed; one set per backend server, since all devices on a server
+share its memory:
 
-* :class:`StampLru` for the index and metadata caches, whose entries all
-  have one size and are keyed by object id.  The maintenance scanner
-  streams millions of touches through these, so a whole scan batch is
-  applied with a few array operations.
-* :class:`LruCache`, a plain ordered-dict LRU over ``(object, chunk)``
-  keys of varying size, for the data (page) cache.
+* the index and metadata caches hold one entry size each and are keyed
+  by object id;
+* the data (page) cache is keyed by chunk id, ``chunk_base[obj] + idx``
+  (see :func:`chunk_layout`), each chunk charged its own byte size.
+
+The maintenance scanner streams millions of touches through all three,
+so a whole scan batch is applied with a few array operations.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-__all__ = ["LruCache", "StampLru"]
+__all__ = ["StampLru", "chunk_ids", "chunk_layout"]
 
 
-class LruCache:
-    """LRU cache with a byte capacity.
+def chunk_layout(object_sizes: np.ndarray, chunk_bytes: int):
+    """The data cache's key space: ``(chunk_base, chunk_sizes)``.
 
-    ``access`` is the single hot entry point: it returns whether the key
-    was resident (hit) and, on a miss, admits it -- matching page-cache
-    fill-on-read semantics.  Entries larger than the whole capacity are
-    never admitted.
+    Object ``obj`` owns the chunk ids ``chunk_base[obj]`` up to
+    ``chunk_base[obj + 1]`` (``n_objects + 1`` int64 entries); every
+    chunk is ``chunk_bytes`` long except each object's last, which
+    holds the remainder.
     """
+    sizes = np.asarray(object_sizes, dtype=np.int64)
+    n_chunks = np.maximum(1, -(-sizes // chunk_bytes))
+    chunk_base = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(n_chunks, out=chunk_base[1:])
+    chunk_sizes = np.full(int(chunk_base[-1]), chunk_bytes, dtype=np.int64)
+    chunk_sizes[chunk_base[1:] - 1] = sizes - (n_chunks - 1) * chunk_bytes
+    return chunk_base, chunk_sizes
 
-    __slots__ = (
-        "capacity_bytes",
-        "_entries",
-        "used_bytes",
-        "hits",
-        "misses",
-    )
 
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
-        self.capacity_bytes = int(capacity_bytes)
-        self._entries: OrderedDict[tuple, int] = OrderedDict()
-        self.used_bytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def access(self, key, size: int) -> bool:
-        """Touch ``key``; returns True on hit.  Misses are admitted."""
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._admit(key, size)
-        return False
-
-    def _admit(self, key, size: int) -> None:
-        size = int(size)
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        if size > self.capacity_bytes:
-            return  # larger than memory: read-through, never cached
-        entries = self._entries
-        while self.used_bytes + size > self.capacity_bytes:
-            _old, old_size = entries.popitem(last=False)
-            self.used_bytes -= old_size
-        entries[key] = size
-        self.used_bytes += size
-
-    def access_pairs(self, pairs) -> int:
-        """Touch ``(key, size)`` pairs in order; returns the hit count.
-
-        Exactly equivalent to calling :meth:`access` per pair; this is the
-        data-cache path of the maintenance scan.
-        """
-        entries = self._entries
-        move = entries.move_to_end
-        pop = entries.popitem
-        cap = self.capacity_bytes
-        used = self.used_bytes
-        if not isinstance(pairs, list):
-            pairs = list(pairs)
-        # Bulk path: the maintenance data walk streams through a cache
-        # far larger than one batch, so batches are usually distinct
-        # keys none of which is resident.  Then every pair is a miss
-        # admitted in order, and because LRU evicts strictly
-        # oldest-first the final state is the old entries with the
-        # minimal front prefix evicted to make the whole batch fit,
-        # followed by the batch itself -- appliable with C-level bulk
-        # operations instead of the per-pair loop.
-        if pairs:
-            sizes = [p[1] for p in pairs]
-            total = sum(sizes)
-            if 0 < total <= cap and min(sizes) >= 0:
-                keyset = {p[0] for p in pairs}
-                if len(keyset) == len(pairs) and entries.keys().isdisjoint(
-                    keyset
-                ):
-                    target = cap - total
-                    while used > target:
-                        _old, old_size = pop(last=False)
-                        used -= old_size
-                    entries.update(pairs)
-                    self.used_bytes = used + total
-                    self.misses += len(pairs)
-                    return 0
-        hits = 0
-        misses = 0
-        for key, size in pairs:
-            if key in entries:
-                move(key)
-                hits += 1
-                continue
-            misses += 1
-            if size > cap:
-                continue
-            if size < 0:
-                raise ValueError(f"size must be >= 0, got {size}")
-            while used + size > cap:
-                _old, old_size = pop(last=False)
-                used -= old_size
-            entries[key] = size
-            used += size
-        self.used_bytes = used
-        self.hits += hits
-        self.misses += misses
-        return hits
-
-    def install_tail_reversed(self, rev_pairs) -> None:
-        """Install the exact final state of replaying ``(key, size)``
-        accesses into an *empty* cache, without the replay.
-
-        LRU evicts strictly oldest-first, so the survivors of any replay
-        are a suffix of the distinct keys in last-access order: scan the
-        stream backwards, keep distinct keys while they fit, and stop at
-        the first key that does not (every older key was necessarily
-        evicted before it).  ``rev_pairs`` yields ``(key, size)`` in
-        *reverse* access order (so the caller can generate it lazily and
-        benefit from the early stop).  Requires an empty cache and a
-        stable size per key, both guaranteed by the warmup replay.
-        Oversize entries are never admitted by LRU and are transparent
-        here too.
-        """
-        if self._entries:
-            raise ValueError("install_tail requires an empty cache")
-        cap = self.capacity_bytes
-        seen = set()
-        add = seen.add
-        survivors = []  # most-recent-first
-        append = survivors.append
-        used = 0
-        for key, size in rev_pairs:
-            if key in seen:
-                continue
-            add(key)
-            if size > cap:
-                continue
-            if used + size > cap:
-                break
-            append((key, size))
-            used += size
-        self._entries = OrderedDict(reversed(survivors))
-        self.used_bytes = used
-
-    def evict(self, key) -> bool:
-        """Drop one entry (used by failure-injection tests)."""
-        size = self._entries.pop(key, None)
-        if size is None:
-            return False
-        self.used_bytes -= size
-        return True
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.used_bytes = 0
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (warm-state reuse by the parallel sweep engine)
-    # ------------------------------------------------------------------
-    def state(self) -> tuple:
-        """A picklable snapshot of the resident set, in LRU order."""
-        return (tuple(self._entries.items()), self.used_bytes)
-
-    def restore(self, state: tuple) -> None:
-        """Install a snapshot taken by :meth:`state` (counters reset)."""
-        entries, used_bytes = state
-        self._entries = OrderedDict(entries)
-        self.used_bytes = int(used_bytes)
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LruCache(used={self.used_bytes}/{self.capacity_bytes} bytes, "
-            f"entries={len(self._entries)}, hit_ratio={self.hit_ratio:.3f})"
-        )
+def chunk_ids(chunk_base: np.ndarray, objs: np.ndarray) -> np.ndarray:
+    """Every chunk id of ``objs`` (int64), object by object in order."""
+    first = chunk_base[objs]
+    n_chunks = chunk_base[objs + 1] - first
+    total = int(n_chunks.sum())
+    if total == objs.size:  # dominant: every object fits one chunk
+        return first
+    starts = np.cumsum(n_chunks) - n_chunks
+    return np.arange(total, dtype=np.int64) + np.repeat(first - starts, n_chunks)
 
 
 class StampLru:
-    """Exact LRU over uniform-size entries keyed by ints in ``[0, n_keys)``.
+    """Exact byte-budget LRU over keys ``[0, n_keys)`` of fixed sizes.
 
-    The index and metadata caches hold one entry size each and are keyed
-    by object id, so the resident set is exactly the ``slots`` most
-    recently touched distinct keys.  The state is two arrays and two
-    positions ``1 <= _front <= _next``:
+    ``entry_bytes`` is one size for every key (the index and metadata
+    caches) or an array of ``n_keys`` per-key sizes (the data cache's
+    chunks).  Keys larger than the whole capacity are never admitted.
+    The state is two arrays and two positions ``1 <= _front <= _next``:
 
     * ``_buf[s]`` -- the key touched at stamp ``s``; every touch takes
       the next stamp.  The entry is *alive* iff that key's stamp is
@@ -243,44 +77,62 @@ class StampLru:
       zeroed.
 
     :meth:`access_many` applies a batch of touches with array operations
-    and leaves hits, misses, the resident set and its LRU order exactly
-    as the same touches through :meth:`access` would.  The scalar path
-    reads the arrays through memoryviews (numpy scalar indexing is
-    several times slower).  The ``size`` argument of :meth:`access`
-    keeps the call sites shared with :class:`LruCache`; it must equal
-    ``entry_bytes``.
+    and leaves hits, misses, used bytes, the resident set and its LRU
+    order exactly as the same touches through :meth:`access` would.
+    The scalar path reads the arrays through memoryviews (numpy scalar
+    indexing is several times slower).
     """
 
     __slots__ = (
         "capacity_bytes",
-        "entry_bytes",
         "slots",
+        "used_bytes",
         "hits",
         "misses",
         "_count",
         "_front",
         "_next",
+        "_size",
+        "_unit",
+        "_oversize",
         "_stamp",
         "_buf",
         "_sv",
         "_bv",
+        "_zv",
         "_ar",
     )
 
-    def __init__(self, capacity_bytes: int, entry_bytes: int, n_keys: int) -> None:
+    def __init__(self, capacity_bytes: int, entry_bytes, n_keys: int) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
-        if entry_bytes < 0:
-            raise ValueError(f"entry size must be >= 0, got {entry_bytes}")
-        self.capacity_bytes = int(capacity_bytes)
-        self.entry_bytes = int(entry_bytes)
-        if entry_bytes > capacity_bytes:
-            slots = 0  # larger than memory: read-through, never cached
-        elif entry_bytes == 0:
-            slots = n_keys
+        self.capacity_bytes = cap = int(capacity_bytes)
+        if np.ndim(entry_bytes) == 0:
+            unit = int(entry_bytes)
+            if unit < 0:
+                raise ValueError(f"entry size must be >= 0, got {unit}")
+            # One size for every key: a zero-stride view, no per-key array.
+            self._size = np.broadcast_to(np.int64(unit), (n_keys,))
+            self._unit = unit
+            if unit > cap:
+                slots = 0  # larger than memory: read-through, never cached
+            elif unit == 0:
+                slots = n_keys
+            else:
+                slots = min(cap // unit, n_keys)
         else:
-            slots = min(capacity_bytes // entry_bytes, n_keys)
+            self._size = np.asarray(entry_bytes, dtype=np.int64)
+            self._unit = None
+            if self._size.shape != (n_keys,):
+                raise ValueError(f"need {n_keys} entry sizes, got {self._size.shape}")
+            if n_keys and self._size.min() < 0:
+                raise ValueError("entry sizes must be >= 0")
+            # The most entries that fit at once: the smallest ones.
+            fitting = np.cumsum(np.sort(self._size[self._size <= cap]))
+            slots = int(np.searchsorted(fitting, cap, side="right"))
+        self._oversize = bool(n_keys) and int(self._size.max()) > cap
         self.slots = slots
+        self.used_bytes = 0
         self.hits = 0
         self.misses = 0
         self._stamp = np.zeros(n_keys, dtype=np.int64)
@@ -289,6 +141,7 @@ class StampLru:
         self._buf = np.zeros(2 * slots + 1, dtype=np.int64)
         self._sv = memoryview(self._stamp)
         self._bv = memoryview(self._buf)
+        self._zv = memoryview(self._size)
         self._ar = np.arange(self._buf.size, dtype=np.int64)
         self._count = 0
         self._front = self._next = 1
@@ -302,11 +155,7 @@ class StampLru:
     def __contains__(self, key) -> bool:
         return self._sv[key] >= self._front
 
-    @property
-    def used_bytes(self) -> int:
-        return self._count * self.entry_bytes
-
-    def access(self, key, size: int | None = None) -> bool:
+    def access(self, key) -> bool:
         """Touch ``key``; returns True on hit.  Misses are admitted."""
         sv = self._sv
         hit = sv[key] >= self._front
@@ -314,12 +163,14 @@ class StampLru:
             self.hits += 1
         else:
             self.misses += 1
-            if self._count < self.slots:
-                self._count += 1
-            elif self.slots:
-                self._evict_oldest()
-            else:
-                return False
+            size = self._zv[key]
+            used = self.used_bytes + size
+            if used > self.capacity_bytes:
+                if size > self.capacity_bytes:
+                    return False
+                used = self._evict_until(used)
+            self.used_bytes = used
+            self._count += 1
         nxt = self._next
         if nxt == len(self._bv):
             self._compact()
@@ -329,12 +180,19 @@ class StampLru:
         self._next = nxt + 1
         return hit
 
-    def _evict_oldest(self) -> None:
-        sv, bv = self._sv, self._bv
+    def _evict_until(self, used: int) -> int:
+        """Evict LRU entries until ``used`` fits; returns what is left."""
+        sv, bv, zv = self._sv, self._bv, self._zv
+        cap = self.capacity_bytes
         front = self._front
-        while sv[bv[front]] != front:
-            front += 1  # dead hole: touched again later, or evicted
-        self._front = front + 1
+        while used > cap:
+            key = bv[front]
+            if sv[key] == front:  # alive, not a dead hole
+                used -= zv[key]
+                self._count -= 1
+            front += 1
+        self._front = front
+        return used
 
     def evict(self, key) -> bool:
         """Drop one entry (the DELETE path); False if it was not resident."""
@@ -342,11 +200,13 @@ class StampLru:
             return False
         self._sv[key] = 0
         self._count -= 1
+        self.used_bytes -= self._zv[key]
         return True
 
     def clear(self) -> None:
         self._front = self._next
         self._count = 0
+        self.used_bytes = 0
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -359,9 +219,10 @@ class StampLru:
         """Touch ``keys`` in order; returns the number of hits.
 
         Exactly equivalent to calling :meth:`access` per key.  The batch
-        is applied in windows of at most ``slots`` keys, each cut at its
-        first repeated key and at its first would-be hit that an earlier
-        miss of the window would evict (see :meth:`_apply`).
+        is applied in windows of at most ``slots`` keys, each cut where
+        its bytes overflow the capacity, at its first repeated key and at
+        its first would-be hit that an earlier miss of the window would
+        evict (see :meth:`_apply`).
         """
         keys = np.asarray(keys, dtype=np.int64)
         m = keys.size
@@ -383,15 +244,35 @@ class StampLru:
         """Apply the longest safely vectorisable prefix of ``part``
         (``1 <= len(part) <= slots``); returns its length.
 
-        With distinct keys, every touched key ends at the MRU end in
-        batch order and the ``misses - free slots`` evictions take the
-        oldest entries at batch start -- unless one of those entries is
-        a key of the batch (a would-be hit), which sequential access
-        would evict before touching it.  Cutting the batch just before
-        the first such key leaves a prefix whose eviction zone is a
-        sub-zone of the whole batch's and so holds none of its hits.
-        The first key of any batch is safe, so every call makes progress.
+        With distinct keys whose bytes fit the capacity, every touched
+        key ends at the MRU end in batch order and the evictions take
+        the fewest oldest entries whose bytes make room for the misses
+        -- unless one of those entries is a key of the batch (a
+        would-be hit), which sequential access would evict before
+        touching it.  Cutting the batch just before the first such key
+        leaves a prefix whose eviction zone is a sub-zone of the whole
+        batch's and so holds none of its hits.  The first key of any
+        batch is safe, so every call makes progress.
         """
+        cap = self.capacity_bytes
+        unit = self._unit
+        if unit is None:
+            # Per-key sizes: cut before the first key larger than the
+            # capacity and where the batch's bytes outgrow it.  (With one
+            # size, a window of at most ``slots`` keys always fits.)
+            sizes = self._size[part]
+            if self._oversize:
+                big = sizes > cap
+                if big.any():
+                    m = int(big.argmax())
+                    if not m:  # a lone miss that is never admitted
+                        self.misses += 1
+                        return 1
+                    part, sizes = part[:m], sizes[:m]
+            total = np.cumsum(sizes)
+            if total[-1] > cap:
+                m = int(np.searchsorted(total, cap, side="right"))
+                part, sizes, total = part[:m], sizes[:m], total[:m]
         if self._next + part.size > self._buf.size:
             self._compact()
         stamp = self._stamp
@@ -399,18 +280,31 @@ class StampLru:
         m = part.size
         old = stamp[part]
         hit = old >= front
-        nh = np.count_nonzero(hit)
-        free = self.slots - self._count
-        n_evict = max(m - nh - free, 0)
-        if n_evict:
-            alive = self._alive_offsets(n_evict)
-            if nh:
-                endangered = hit & (old <= front + alive[n_evict - 1])
-                if np.count_nonzero(endangered):
-                    m = max(int(endangered.argmax()), 1)
-                    part, hit = part[:m], hit[:m]
-                    nh = np.count_nonzero(hit)
-                    n_evict = max(m - nh - free, 0)
+        nh = int(np.count_nonzero(hit))
+        alive = None
+        while True:
+            if unit is None:
+                added = int(total[m - 1]) - (int(sizes[:m][hit].sum()) if nh else 0)
+            else:
+                added = (m - nh) * unit
+            need = self.used_bytes + added - cap
+            if need <= 0:
+                n_evict = 0
+                break
+            if alive is None:
+                alive, freed = self._eviction_zone(need, m - nh)
+            if unit is None:
+                n_evict = int(freed.searchsorted(need)) + 1
+            else:
+                n_evict = -(-need // unit)
+            if not nh:
+                break
+            endangered = hit & (old[:m] <= front + alive[n_evict - 1])
+            if not np.count_nonzero(endangered):
+                break
+            m = max(int(endangered.argmax()), 1)
+            part, hit = part[:m], hit[:m]
+            nh = int(np.count_nonzero(hit))
         nxt = self._next
         new = self._ar[nxt : nxt + m]
         stamp[part] = new
@@ -424,25 +318,38 @@ class StampLru:
             return self._apply(part[: first.argmax()])
         if n_evict:
             self._front = front + int(alive[n_evict - 1]) + 1
+            added -= n_evict * unit if unit is not None else int(freed[n_evict - 1])
         self._buf[nxt : nxt + m] = part
         self._next = nxt + m
         self._count += m - nh - n_evict
+        self.used_bytes += added
         self.hits += nh
         self.misses += m - nh
         return m
 
-    def _alive_offsets(self, k: int) -> np.ndarray:
-        """Offsets from ``_front`` of at least the ``k`` oldest resident
-        entries (``k <= len(self)``), ascending."""
+    def _eviction_zone(self, need: int, guess: int):
+        """Offsets from ``_front`` of the oldest resident entries, far
+        enough that their bytes reach ``need`` (``need <= used_bytes``),
+        and those entries' cumulative bytes (``None`` with one size for
+        every key); ``guess`` is the expected count."""
         lo = self._front
         hi = self._next
-        width = k + (k >> 1) + 8
+        unit = self._unit
+        if unit is not None:
+            guess = -(-need // unit)
+        width = guess + (guess >> 1) + 8
         while True:
             end = min(lo + width, hi)
-            stamps = self._stamp[self._buf[lo:end]]
-            alive = (stamps == self._ar[lo:end]).nonzero()[0]
-            if alive.size >= k or end == hi:
-                return alive
+            keys = self._buf[lo:end]
+            alive = (self._stamp[keys] == self._ar[lo:end]).nonzero()[0]
+            if unit is None:
+                freed = np.cumsum(self._size[keys[alive]])
+                enough = freed.size and freed[-1] >= need
+            else:
+                freed = None
+                enough = alive.size >= guess
+            if enough or end == hi:
+                return alive, freed
             width *= 2
 
     def _compact(self) -> None:
@@ -464,9 +371,12 @@ class StampLru:
         """Install the exact final state of replaying ``keys`` into an
         *empty* cache, without the replay.
 
-        The survivors are the ``slots`` distinct keys with the latest
-        last access, in last-access order.  Counters are not updated
-        (the warm-up path resets them immediately afterwards).
+        LRU evicts strictly oldest-first, so the survivors of any replay
+        are a suffix of the distinct keys in last-access order: walking
+        back from the latest, they are the keys up to the first that no
+        longer fits (keys larger than the capacity are skipped, as LRU
+        never admits them).  Counters are not updated (the warm-up path
+        resets them immediately afterwards).
         """
         if self._count:
             raise ValueError("install_tail requires an empty cache")
@@ -477,10 +387,13 @@ class StampLru:
         np.maximum.at(last, keys, np.arange(keys.size, dtype=np.int64))
         seen = np.flatnonzero(last >= 0)
         # Last-access positions are distinct, so any sort kind is exact.
-        order = seen[np.argsort(last[seen])]
-        survivors = order[order.size - min(order.size, self.slots) :]
-        self._load(survivors)
-        self._count = survivors.size
+        order = seen[np.argsort(last[seen])][::-1]
+        order = order[self._size[order] <= self.capacity_bytes]
+        kept = np.cumsum(self._size[order])
+        n = int(np.searchsorted(kept, self.capacity_bytes, side="right"))
+        self._load(order[:n][::-1])
+        self._count = n
+        self.used_bytes = int(kept[n - 1]) if n else 0
 
     # ------------------------------------------------------------------
     # snapshot / restore (warm-state reuse by the parallel sweep engine)
@@ -494,12 +407,15 @@ class StampLru:
     def restore(self, state: np.ndarray) -> None:
         """Install a snapshot taken by :meth:`state` (counters reset)."""
         keys = np.asarray(state, dtype=np.int64)
-        if keys.size > self.slots:
+        used = int(self._size[keys].sum())
+        if used > self.capacity_bytes or keys.size > self.slots:
             raise ValueError(
-                f"snapshot holds {keys.size} entries, capacity is {self.slots}"
+                f"snapshot holds {keys.size} entries of {used} bytes, "
+                f"capacity is {self.capacity_bytes} bytes"
             )
         self._load(keys)
         self._count = keys.size
+        self.used_bytes = used
         self.reset_counters()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,7 +21,7 @@ from repro.simulator.backend import (
     META_ENTRY_BYTES,
     StorageDevice,
 )
-from repro.simulator.cache import LruCache, StampLru
+from repro.simulator.cache import StampLru, chunk_ids, chunk_layout
 from repro.simulator.core import Simulator
 from repro.simulator.disk import Disk, HddProfile
 from repro.simulator.frontend import FrontendProcess
@@ -229,29 +229,24 @@ class Cluster:
 
         # Backend: three cache budgets per server (index slab, xattr,
         # page cache), one disk + N_be processes per device.  Index and
-        # xattr entries have one size each and are keyed by object id.
+        # xattr entries have one size each and are keyed by object id;
+        # page-cache entries are keyed by chunk id, over one chunk layout
+        # shared by every server.
         n_objects = self.object_sizes.size
+        self.chunk_base, chunk_sizes = chunk_layout(
+            self.object_sizes, config.chunk_bytes
+        )
         budgets = [int(f * config.cache_bytes_per_server) for f in config.cache_split]
-        self.caches: list[tuple[StampLru, StampLru, LruCache]] = [
+        self.caches: list[tuple[StampLru, StampLru, StampLru]] = [
             (
                 StampLru(budgets[0], INDEX_ENTRY_BYTES, n_objects),
                 StampLru(budgets[1], META_ENTRY_BYTES, n_objects),
-                LruCache(budgets[2]),
+                StampLru(budgets[2], chunk_sizes, chunk_sizes.size),
             )
             for _ in range(config.n_backend_servers)
         ]
         from repro.simulator.scanner import MaintenanceScanner
 
-        if config.scanner_rate > 0.0:
-            scan_chunks = np.maximum(
-                1, -(-self.object_sizes // config.chunk_bytes)
-            )
-            scan_geometry = (
-                scan_chunks.tolist(),
-                (
-                    self.object_sizes - (scan_chunks - 1) * config.chunk_bytes
-                ).tolist(),
-            )
         self.scanners: list[MaintenanceScanner | None] = []
         for s in range(config.n_backend_servers):
             if config.scanner_rate > 0.0:
@@ -261,14 +256,10 @@ class Cluster:
                         idx_cache,
                         meta_cache,
                         data_cache,
-                        self.object_sizes,
-                        config.chunk_bytes,
+                        self.chunk_base,
                         config.scanner_rate,
                         data_rate_fraction=config.scanner_data_fraction,
-                        phase=(s * self.object_sizes.size) // max(
-                            config.n_backend_servers, 1
-                        ),
-                        chunk_geometry=scan_geometry,
+                        phase=(s * n_objects) // max(config.n_backend_servers, 1),
                     )
                 )
             else:
@@ -297,6 +288,7 @@ class Cluster:
                 n_processes=config.processes_per_device,
                 chunk_bytes=config.chunk_bytes,
                 object_sizes=self.object_sizes,
+                chunk_base=self.chunk_base,
                 parse_dist=config.parse_be,
                 rng=self.rng.stream(f"parse-be{d}"),
                 accept_overhead=config.accept_overhead,
@@ -517,55 +509,34 @@ class Cluster:
     def warm_caches(self, object_ids: np.ndarray) -> None:
         """Replay an access stream against the caches without simulating
         time (substitutes for the paper's 3-hour warmup phase).  Each
-        access warms one randomly chosen replica, like real GETs would.
+        access warms one randomly chosen replica, like real GETs would,
+        and touches the object's index and metadata entries and then
+        every chunk of it.
 
         Replica choices are drawn in one vectorised call (bit-identical
-        to the scalar loop) and the chunk geometry of every access is
-        computed up front, so the loop body is pure cache traffic.
+        to a scalar loop).  Caches are shared per *server*, so the
+        stream is grouped per server in access order, which keeps each
+        cache's access subsequence exact.  Fresh (empty) caches install
+        the replay's final state directly; already-populated caches
+        replay it as one batch.
         """
         object_ids = np.asarray(object_ids, dtype=np.int64)
         if object_ids.size == 0:
             return
         rng = self.rng.stream("warmup")
         dev_ids = self.ring.pick_many(object_ids, rng)
-        sizes = self.object_sizes[object_ids]
-        chunk_bytes = self.config.chunk_bytes
-        n_chunks = np.maximum(1, -(-sizes // chunk_bytes))
-        last_bytes = sizes - (n_chunks - 1) * chunk_bytes
-        # Caches are shared per *server*; group the stream per server in
-        # access order.  Per cache this preserves the exact access
-        # subsequence the scalar warm_one loop would produce.  Fresh
-        # (empty) caches install the replay's final state directly;
-        # already-populated caches fall back to the full batched replay.
         servers = dev_ids // self.config.devices_per_server
-
-        def rev_data_pairs(objs, ncs, lasts):
-            for obj, nc, last in zip(reversed(objs), reversed(ncs), reversed(lasts)):
-                yield (obj, nc - 1), last
-                for idx in range(nc - 2, -1, -1):
-                    yield (obj, idx), chunk_bytes
-
         for server, (idx_cache, meta_cache, data_cache) in enumerate(self.caches):
-            sel = np.flatnonzero(servers == server)
-            obj_arr = object_ids[sel]
-            objs = obj_arr.tolist()
-            ncs = n_chunks[sel].tolist()
-            lasts = last_bytes[sel].tolist()
-            for cache in (idx_cache, meta_cache):
+            objs = object_ids[servers == server]
+            for cache, keys in (
+                (idx_cache, objs),
+                (meta_cache, objs),
+                (data_cache, chunk_ids(self.chunk_base, objs)),
+            ):
                 if len(cache) == 0:
-                    cache.install_tail(obj_arr)
+                    cache.install_tail(keys)
                 else:
-                    cache.access_many(obj_arr)
-            if len(data_cache) == 0:
-                data_cache.install_tail_reversed(rev_data_pairs(objs, ncs, lasts))
-            else:
-                data_cache.access_pairs(
-                    [
-                        ((obj, idx), chunk_bytes if idx + 1 < nc else last)
-                        for obj, nc, last in zip(objs, ncs, lasts)
-                        for idx in range(nc)
-                    ]
-                )
+                    cache.access_many(keys)
         for server_caches in self.caches:
             for cache in server_caches:
                 cache.reset_counters()

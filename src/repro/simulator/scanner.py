@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.simulator.cache import LruCache, StampLru
+from repro.simulator.cache import StampLru, chunk_ids
 
 __all__ = ["MaintenanceScanner"]
 
@@ -100,15 +100,12 @@ class MaintenanceScanner:
         "index_cache",
         "meta_cache",
         "data_cache",
-        "object_sizes",
-        "chunk_bytes",
+        "chunk_base",
         "rate",
         "data_rate_fraction",
         "_index_walk",
         "_meta_walk",
         "_data_walk",
-        "_n_chunks",
-        "_last_chunk",
         "_last_time",
         "touches",
     )
@@ -117,15 +114,13 @@ class MaintenanceScanner:
         self,
         index_cache: StampLru,
         meta_cache: StampLru,
-        data_cache: LruCache | None,
-        object_sizes: np.ndarray,
-        chunk_bytes: int,
+        data_cache: StampLru | None,
+        chunk_base: np.ndarray,
         rate: float,
         *,
         data_rate_fraction: float = 0.5,
         start_time: float = 0.0,
         phase: int = 0,
-        chunk_geometry: tuple[list[int], list[int]] | None = None,
     ) -> None:
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and >= 0, got {rate}")
@@ -133,14 +128,16 @@ class MaintenanceScanner:
             raise ValueError(
                 f"data_rate_fraction must be finite and >= 0, got {data_rate_fraction}"
             )
-        n = int(object_sizes.size)
+        n = int(chunk_base.size) - 1
         if n < 1:
             raise ValueError("need at least one object")
         self.index_cache = index_cache
         self.meta_cache = meta_cache
         self.data_cache = data_cache
-        self.object_sizes = object_sizes
-        self.chunk_bytes = chunk_bytes
+        # Object ``obj``'s chunk ids in the data cache start at
+        # ``chunk_base[obj]`` (``cache.chunk_layout``, shared by every
+        # server of a cluster).
+        self.chunk_base = chunk_base
         self.rate = rate
         self.data_rate_fraction = data_rate_fraction
         # Three mutually pseudo-independent permutation walks: the
@@ -151,18 +148,6 @@ class MaintenanceScanner:
         self._data_walk = _Walk(
             n, _coprime_stride(n, 0.3819660113), phase, data_rate_fraction
         )
-        # Chunk geometry depends only on object size; precompute it once
-        # so the data walk is pure list indexing.  A cluster hosts one
-        # scanner per server over the same namespace -- it computes the
-        # geometry once and shares it via ``chunk_geometry``.
-        if chunk_geometry is None:
-            sizes = object_sizes.astype(np.int64, copy=False)
-            n_chunks = np.maximum(1, -(-sizes // chunk_bytes))
-            chunk_geometry = (
-                n_chunks.tolist(),
-                (sizes - (n_chunks - 1) * chunk_bytes).tolist(),
-            )
-        self._n_chunks, self._last_chunk = chunk_geometry
         self._last_time = start_time
         self.touches = 0
 
@@ -192,18 +177,7 @@ class MaintenanceScanner:
             walk = self._data_walk
             count = walk.take(budget)
             if count:
-                chunk = self.chunk_bytes
-                n_chunks = self._n_chunks
-                last = self._last_chunk
-                pairs = []
-                append = pairs.append
-                for obj in walk.steps(count).tolist():
-                    nc = n_chunks[obj]
-                    if nc == 1:  # dominant: most objects fit one chunk
-                        append(((obj, 0), last[obj]))
-                        continue
-                    for idx in range(nc - 1):
-                        append(((obj, idx), chunk))
-                    append(((obj, nc - 1), last[obj]))
-                self.data_cache.access_pairs(pairs)
+                self.data_cache.access_many(
+                    chunk_ids(self.chunk_base, walk.steps(count))
+                )
                 self.touches += count

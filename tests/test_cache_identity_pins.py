@@ -1,12 +1,14 @@
-"""End-to-end identity pins for the index/metadata caches.
+"""End-to-end identity pins for the index, metadata and data caches.
 
 Two short scanned episodes -- a shrunk S1 point (warm-up, snapshot,
 restore, open-loop window) and a 2-cluster fleet with 5% writes on a
 cache small enough to evict (its scan batches also split at would-be
 hits in the eviction zone) -- must reproduce, bit for bit, the recorder
-state and the per-server index/metadata resident key order recorded
-with the ordered-dict LRU these caches replaced.  A change to cache
-semantics shows up here even where the goldens are too coarse to see it.
+state and every server's resident key order recorded with the
+ordered-dict LRUs these caches replaced.  The data-cache orders were
+recorded as ``(object, chunk)`` pairs and are pinned as the chunk ids
+``chunk_base[object] + chunk``.  A change to cache semantics shows up
+here even where the goldens are too coarse to see it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ def resident_orders(cluster: Cluster) -> str:
     return digest(orders)
 
 
+def data_orders(cluster: Cluster) -> str:
+    """Digest of every server's page-cache chunk ids, LRU first."""
+    return digest([data.state().tolist() for _, _, data in cluster.caches])
+
+
 def test_s1_episode_identity():
     scenario = dataclasses.replace(
         scenario_s1(), n_objects=10_000, warm_accesses=25_000
@@ -87,6 +94,8 @@ def test_s1_episode_identity():
     cluster.drain()
     assert resident_orders(warm) == "502040f449febfa4"
     assert resident_orders(cluster) == "682c4b9c491baf53"
+    assert data_orders(warm) == "a482b3927d6d6aca"
+    assert data_orders(cluster) == "268b656ae9f77a72"
     assert digest(cluster.metrics.state()) == "3c0b03b2f5b46519"
 
 
@@ -113,5 +122,9 @@ def test_fleet_episode_identity(monkeypatch):
     assert [resident_orders(c) for c in built] == [
         "917fde5109172755",
         "19f8a091b43fc8b4",
+    ]
+    assert [data_orders(c) for c in built] == [
+        "858620ed9a68bb73",
+        "70fd5e0778d1b092",
     ]
     assert digest(result.state) == "b7c9fbb4a373fc54"

@@ -29,12 +29,14 @@ from repro.simulator import (
     ClusterConfig,
     Disk,
     HddProfile,
-    LruCache,
     MetricsRecorder,
     NetworkProfile,
     Simulator,
+    StampLru,
     StorageDevice,
 )
+from repro.simulator.backend import INDEX_ENTRY_BYTES, META_ENTRY_BYTES
+from repro.simulator.cache import chunk_layout
 from repro.simulator.core import SimulationError
 from repro.simulator.dispatch import (
     DISPATCH_POLICIES,
@@ -357,16 +359,23 @@ class TestRingReconstruction:
 def _make_device(n_processes):
     sim = Simulator()
     recorder = MetricsRecorder()
+    sizes = np.full(16, 10_000, dtype=np.int64)
+    chunk_base, chunk_sizes = chunk_layout(sizes, 65536)
     dev = StorageDevice(
         sim,
         device_id=0,
         name="dev0",
         disk=Disk(sim, HddProfile(), np.random.default_rng(3), recorder=recorder),
-        caches=tuple(LruCache(b) for b in (1 << 20, 1 << 20, 8 << 20)),
+        caches=(
+            StampLru(1 << 20, INDEX_ENTRY_BYTES, sizes.size),
+            StampLru(1 << 20, META_ENTRY_BYTES, sizes.size),
+            StampLru(8 << 20, chunk_sizes, chunk_sizes.size),
+        ),
         network=NetworkProfile(),
         n_processes=n_processes,
         chunk_bytes=65536,
-        object_sizes=np.full(16, 10_000, dtype=np.int64),
+        object_sizes=sizes,
+        chunk_base=chunk_base,
         parse_dist=Degenerate(0.0004),
         rng=np.random.default_rng(4),
         listen_backlog=1024,

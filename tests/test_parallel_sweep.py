@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro.experiments import calibrate, run_sweep, scenario_s1
-from repro.simulator.cache import LruCache, StampLru
+from repro.simulator.cache import StampLru
 from repro.simulator.ring import HashRing
 from repro.simulator.rng import BufferedIntegers
 from repro.simulator.scanner import _Walk
+from tests.test_stamp_lru import RefLru
 
 
 def assert_points_equal(a, b):
@@ -107,22 +108,21 @@ class TestStreamEquivalence:
             assert ring.replica_row(obj) == ring.devices_for(obj).tolist()
 
 
-def replay_reference(cap, stream):
+def replay_reference(cap, size, keys):
     """Scalar-``access`` replay: the semantics every batch API must match."""
-    ref = LruCache(cap)
-    for key, size in stream:
-        ref.access(key, size)
+    ref = RefLru(cap, size)
+    for key in keys:
+        ref.access(key)
     return ref
 
 
 def cache_state(c):
-    return (list(c._entries.items()), c.used_bytes, c.hits, c.misses)
+    return (list(c.od), c.used_bytes, c.hits, c.misses)
 
 
 def stamp_state(c):
-    """:func:`cache_state` of a :class:`StampLru`, entries with sizes."""
-    entries = [(k, c.entry_bytes) for k in c.state().tolist()]
-    return (entries, c.used_bytes, c.hits, c.misses)
+    """:func:`cache_state` of a :class:`StampLru`."""
+    return (c.state().tolist(), c.used_bytes, c.hits, c.misses)
 
 
 class TestCacheBatchEquivalence:
@@ -130,7 +130,7 @@ class TestCacheBatchEquivalence:
     def test_access_many_uniform(self, cap):
         rng = np.random.default_rng(cap + 1)
         keys = rng.integers(40, size=300).tolist()
-        ref = replay_reference(cap, [(k, 32) for k in keys])
+        ref = replay_reference(cap, 32, keys)
         batched = StampLru(cap, 32, 40)
         hits = batched.access_many(keys)
         assert stamp_state(batched) == cache_state(ref)
@@ -138,15 +138,15 @@ class TestCacheBatchEquivalence:
 
     @pytest.mark.parametrize("cap", [0, 200, 4096])
     def test_access_pairs_variable(self, cap):
+        """``access_many`` over per-key sizes (the data cache's chunks),
+        some larger than the capacity."""
         rng = np.random.default_rng(cap + 2)
         keys = rng.integers(60, size=400)
-        # Stable per-key sizes (the data cache's regime), some oversize.
-        sizes = {int(k): int(s) for k, s in zip(range(60), rng.integers(1, 300, 60))}
-        stream = [(int(k), sizes[int(k)]) for k in keys]
-        ref = replay_reference(cap, stream)
-        batched = LruCache(cap)
-        hits = batched.access_pairs(stream)
-        assert cache_state(batched) == cache_state(ref)
+        sizes = rng.integers(1, 300, 60)
+        ref = replay_reference(cap, sizes, keys.tolist())
+        batched = StampLru(cap, sizes, 60)
+        hits = batched.access_many(keys)
+        assert stamp_state(batched) == cache_state(ref)
         assert hits == ref.hits
 
     @pytest.mark.parametrize("trial", range(20))
@@ -155,54 +155,55 @@ class TestCacheBatchEquivalence:
         cap = int(rng.integers(0, 2000))
         size = int(rng.integers(0, 70))
         keys = rng.integers(50, size=int(rng.integers(1, 500))).tolist()
-        ref = replay_reference(cap, [(k, size) for k in keys])
+        ref = replay_reference(cap, size, keys)
         tail = StampLru(cap, size, 50)
         tail.install_tail(keys)
-        entries = [(k, size) for k in tail.state().tolist()]
-        assert entries == list(ref._entries.items())
+        assert tail.state().tolist() == list(ref.od)
         assert tail.used_bytes == ref.used_bytes
 
     @pytest.mark.parametrize("trial", range(20))
     def test_install_tail_reversed_matches_replay(self, trial):
+        """``install_tail`` over per-key sizes, zero and oversize ones
+        included."""
         rng = np.random.default_rng(100 + trial)
         cap = int(rng.integers(0, 3000))
         n_keys = 40
-        sizes = {k: int(s) for k, s in enumerate(rng.integers(0, 400, n_keys))}
+        sizes = rng.integers(0, 400, n_keys)
         keys = rng.integers(n_keys, size=int(rng.integers(1, 600))).tolist()
-        stream = [(k, sizes[k]) for k in keys]
-        ref = replay_reference(cap, stream)
-        tail = LruCache(cap)
-        tail.install_tail_reversed(reversed(stream))
-        assert list(tail._entries.items()) == list(ref._entries.items())
+        ref = replay_reference(cap, sizes, keys)
+        tail = StampLru(cap, sizes, n_keys)
+        tail.install_tail(keys)
+        assert tail.state().tolist() == list(ref.od)
         assert tail.used_bytes == ref.used_bytes
 
     def test_install_tail_requires_empty(self):
         c = StampLru(100, 10, 4)
-        c.access(3, 10)
+        c.access(3)
         with pytest.raises(ValueError):
             c.install_tail([0])
-        c = LruCache(100)
-        c.access("x", 10)
+        c = StampLru(100, [1, 10], 2)
+        c.access(1)
         with pytest.raises(ValueError):
-            c.install_tail_reversed([("a", 1)])
+            c.install_tail([0])
 
     def test_snapshot_restore_roundtrip(self):
         rng = np.random.default_rng(5)
-        src = LruCache(512)
+        sizes = rng.integers(1, 40, 31)
+        src = StampLru(512, sizes, 31)
         for k in rng.integers(30, size=200):
-            src.access(int(k), 17)
+            src.access(int(k))
         snap = src.state()
-        dst = LruCache(512)
+        dst = StampLru(512, sizes, 31)
         dst.restore(snap)
-        assert list(dst._entries.items()) == list(src._entries.items())
+        assert dst.state().tolist() == src.state().tolist()
         assert dst.used_bytes == src.used_bytes
         assert (dst.hits, dst.misses) == (0, 0)  # counters reset on restore
         # The snapshot is value-based: mutating the restored cache must
         # not leak back into a second restore.
-        dst.access("new", 17)
-        again = LruCache(512)
+        dst.access(30)
+        again = StampLru(512, sizes, 31)
         again.restore(snap)
-        assert list(again._entries.items()) == list(src._entries.items())
+        assert again.state().tolist() == src.state().tolist()
 
 
 class TestWalkBatching:

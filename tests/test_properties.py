@@ -28,7 +28,7 @@ from repro.queueing import (
     MM1KQueue,
     MM1Queue,
 )
-from repro.simulator import LruCache
+from repro.simulator import StampLru
 
 # Bounded, well-conditioned parameter ranges (latencies in seconds).
 rates = st.floats(min_value=5.0, max_value=5000.0)
@@ -347,18 +347,15 @@ class TestQueueingTransformProperties:
 
 class TestCacheProperties:
     @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=30), st.integers(1, 40)),
-            min_size=1,
-            max_size=300,
-        ),
+        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=300),
+        st.lists(st.integers(1, 40), min_size=31, max_size=31),
         st.integers(min_value=1, max_value=200),
     )
     @settings(max_examples=60, deadline=None)
-    def test_capacity_never_exceeded(self, accesses, capacity):
-        cache = LruCache(capacity)
-        for key, size in accesses:
-            cache.access(key, size)
+    def test_capacity_never_exceeded(self, accesses, sizes, capacity):
+        cache = StampLru(capacity, sizes, len(sizes))
+        for key in accesses:
+            cache.access(key)
             assert cache.used_bytes <= capacity
         assert cache.hits + cache.misses == len(accesses)
 
@@ -367,9 +364,9 @@ class TestCacheProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_infinite_cache_misses_equal_distinct_keys(self, keys):
-        cache = LruCache(10**9)
+        cache = StampLru(10**9, 1, 11)
         for key in keys:
-            cache.access(key, 1)
+            cache.access(key)
         assert cache.misses == len(set(keys))
 
 

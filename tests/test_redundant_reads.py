@@ -41,7 +41,7 @@ from repro.model.backend import BackendModel
 from repro.model.frontend import accept_wait
 from repro.model.redundancy import _MASS_THRESHOLD
 from repro.queueing import UnstableQueueError
-from repro.simulator import Cluster, ClusterConfig
+from repro.simulator import Cluster, ClusterConfig, Connection, Request
 from repro.simulator.core import SimulationError
 from repro.simulator.faults import DeviceFailStop, FaultSchedule
 from repro.simulator.frontend import READ_STRATEGIES
@@ -260,6 +260,43 @@ class TestForkJoin:
             assert off == cursor
             cursor += count
         assert sum(p.size_bytes for p in red.probes) == req.size_bytes
+
+    def test_fragments_share_the_parent_chunk_space(self):
+        # One server hosts all three replicas, so every fragment and the
+        # whole-object read below go through one page cache.
+        sizes = np.array([10_000, 100_000, 7_000], dtype=np.int64)
+        cluster = Cluster(
+            ClusterConfig(
+                n_devices=3,
+                devices_per_server=3,
+                read_strategy="forkjoin",
+                read_fanout=3,
+                chunk_bytes=8_192,
+                scanner_rate=0.0,
+            ),
+            sizes,
+            seed=5,
+        )
+        data = cluster.caches[0][2]
+        parent = list(range(cluster.chunk_base[1], cluster.chunk_base[2]))
+        assert len(parent) == 13
+        req = cluster.dispatch(1)
+        cluster.drain()
+        assert len(req.red.probes) == 3
+        assert sorted(data.state().tolist()) == parent
+        assert (data.hits, data.misses) == (0, 13)
+        assert data.used_bytes == sizes[1]
+        # A whole-object read on the same server hits every chunk.
+        whole = Request(1, 1, int(sizes[1]), 8_192)
+        whole.arrival_time = cluster.sim.now
+        cluster.devices[0].connect(Connection(whole, None))
+        cluster.drain()
+        assert whole.is_complete
+        assert (data.hits, data.misses) == (13, 13)
+        # The tombstone evicts every chunk of the object.
+        cluster.dispatch(1, is_delete=True)
+        cluster.drain()
+        assert len(data) == 0 and data.used_bytes == 0
 
     def test_join_semantics_no_waste(self, catalog):
         cluster, trace = run(

@@ -99,7 +99,8 @@ class TestDelete:
         # ...and the tombstone evicts them everywhere.
         assert not any(7 in dev.index_cache for dev in cluster.devices)
         assert not any(7 in dev.meta_cache for dev in cluster.devices)
-        assert not any((7, 0) in dev.data_cache for dev in cluster.devices)
+        chunks = range(cluster.chunk_base[7], cluster.chunk_base[8])
+        assert not any(c in dev.data_cache for dev in cluster.devices for c in chunks)
 
     def test_read_after_delete_misses(self, cluster):
         cluster.dispatch(9, is_write=True)

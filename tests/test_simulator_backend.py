@@ -10,13 +10,15 @@ from repro.simulator import (
     Connection,
     Disk,
     HddProfile,
-    LruCache,
     MetricsRecorder,
     NetworkProfile,
     Request,
     Simulator,
+    StampLru,
     StorageDevice,
 )
+from repro.simulator.backend import INDEX_ENTRY_BYTES, META_ENTRY_BYTES
+from repro.simulator.cache import chunk_layout
 
 
 def make_device(
@@ -35,16 +37,22 @@ def make_device(
         if object_sizes is not None
         else np.full(100, 10_000, dtype=np.int64)
     )
+    chunk_base, chunk_sizes = chunk_layout(sizes, chunk_bytes)
     dev = StorageDevice(
         sim,
         device_id=0,
         name="dev0",
         disk=Disk(sim, HddProfile(), rng, recorder=recorder),
-        caches=tuple(LruCache(b) for b in cache_bytes),
+        caches=(
+            StampLru(cache_bytes[0], INDEX_ENTRY_BYTES, sizes.size),
+            StampLru(cache_bytes[1], META_ENTRY_BYTES, sizes.size),
+            StampLru(cache_bytes[2], chunk_sizes, chunk_sizes.size),
+        ),
         network=NetworkProfile(),
         n_processes=n_processes,
         chunk_bytes=chunk_bytes,
         object_sizes=sizes,
+        chunk_base=chunk_base,
         parse_dist=Degenerate(0.0004),
         rng=np.random.default_rng(4),
         listen_backlog=listen_backlog,
@@ -212,13 +220,25 @@ class TestFirstByteOrdering:
         assert np.all(tab.response_latency > 0.0)
 
 
+def single_device_cluster(sizes, cache_bytes=16 << 20):
+    """One device holding every replica, no maintenance scan: a warmed
+    object stays on the device a read reaches."""
+    config = ClusterConfig(
+        n_devices=1,
+        replicas=1,
+        cache_bytes_per_server=cache_bytes,
+        scanner_rate=0.0,
+    )
+    return Cluster(config, np.asarray(sizes, dtype=np.int64), seed=1)
+
+
 class TestWarm:
     def test_warm_populates_all_caches(self):
-        sim, dev, _ = make_device()
-        dev.warm(np.arange(10))
-        submit(sim, dev, object_id=3)
-        sim.run_until_idle()
-        assert dev.disk.ops_served == 0  # fully cached
+        cl = single_device_cluster(np.full(100, 10_000))
+        cl.warm_caches(np.arange(10))
+        cl.dispatch(3)
+        cl.drain()
+        assert cl.total_disk_ops == 0  # fully cached
 
 
 class TestDeepChunkChain:
@@ -228,15 +248,12 @@ class TestDeepChunkChain:
         trampolined queue must keep stack depth constant (a recursive
         step overflowed at ~200 chunks under CPython's default limit)."""
         n_chunks = 1_200
-        sizes = np.array([n_chunks * 65536], dtype=np.int64)
-        sim, dev, rec = make_device(
-            object_sizes=sizes, cache_bytes=(1 << 20, 1 << 20, 128 << 20)
-        )
-        dev.warm(np.zeros(1, dtype=np.int64))
-        assert dev.disk.ops_served == 0
-        submit(sim, dev, object_id=0)
-        sim.run_until_idle()
-        tab = rec.requests()
+        cl = single_device_cluster([n_chunks * 65536], cache_bytes=128 << 20)
+        cl.warm_caches(np.zeros(1, dtype=np.int64))
+        assert cl.total_disk_ops == 0
+        cl.dispatch(0)
+        cl.drain()
+        tab = cl.metrics.requests()
         assert len(tab) == 1
         assert int(tab.n_chunks[0]) == n_chunks
-        assert dev.disk.ops_served == 0  # never left the page cache
+        assert cl.total_disk_ops == 0  # never left the page cache

@@ -235,18 +235,18 @@ class TestScanner:
     @pytest.mark.parametrize("field", ["rate", "data_rate_fraction"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
     def test_scanner_rejects_bad_inputs(self, field, value):
-        from repro.simulator.cache import LruCache, StampLru
+        from repro.simulator.cache import StampLru, chunk_layout
         from repro.simulator.scanner import MaintenanceScanner
 
         kwargs = {"rate": 100.0, "data_rate_fraction": 0.5, field: value}
         rate = kwargs.pop("rate")
+        chunk_base, chunk_sizes = chunk_layout(np.full(10, 4096), 65536)
         with pytest.raises(ValueError, match=field):
             MaintenanceScanner(
                 StampLru(1024, 256, 10),
                 StampLru(1024, 256, 10),
-                LruCache(1024),
-                np.full(10, 4096),
-                65536,
+                StampLru(1024, chunk_sizes, chunk_sizes.size),
+                chunk_base,
                 rate,
                 **kwargs,
             )

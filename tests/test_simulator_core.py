@@ -6,12 +6,12 @@ import pytest
 from repro.simulator import (
     Disk,
     HddProfile,
-    LruCache,
     MetricsRecorder,
     NetworkProfile,
     SimulationError,
     Simulator,
     RngStreams,
+    StampLru,
 )
 from repro.simulator.disk import OP_DATA, OP_INDEX, OP_META
 
@@ -120,55 +120,58 @@ class TestNetwork:
 
 
 class TestLruCache:
+    """The byte-budget LRU contract of the one cache class, over int
+    keys with per-key sizes."""
+
     def test_hit_miss_accounting(self):
-        c = LruCache(100)
-        assert not c.access("a", 10)
-        assert c.access("a", 10)
+        c = StampLru(100, 10, 4)
+        assert not c.access(0)
+        assert c.access(0)
         assert c.hits == 1 and c.misses == 1
-        assert c.hit_ratio == pytest.approx(0.5)
 
     def test_byte_capacity_eviction(self):
-        c = LruCache(100)
-        c.access("a", 60)
-        c.access("b", 50)  # evicts a
-        assert "a" not in c
-        assert "b" in c
+        c = StampLru(100, [60, 50], 2)
+        c.access(0)
+        c.access(1)  # evicts 0
+        assert 0 not in c
+        assert 1 in c
         assert c.used_bytes == 50
 
     def test_lru_order(self):
-        c = LruCache(100)
-        c.access("a", 40)
-        c.access("b", 40)
-        c.access("a", 40)  # refresh a
-        c.access("c", 40)  # evicts b (LRU), not a
-        assert "a" in c and "b" not in c and "c" in c
+        c = StampLru(100, 40, 3)
+        c.access(0)
+        c.access(1)
+        c.access(0)  # refresh 0
+        c.access(2)  # evicts 1 (LRU), not 0
+        assert 0 in c and 1 not in c and 2 in c
 
     def test_oversized_entry_never_admitted(self):
-        c = LruCache(100)
-        assert not c.access("big", 200)
-        assert "big" not in c
+        c = StampLru(100, [200, 10], 2)
+        assert not c.access(0)
+        assert not c.access_many([0])
+        assert 0 not in c
         assert c.used_bytes == 0
 
     def test_evict_and_clear(self):
-        c = LruCache(100)
-        c.access("a", 10)
-        assert c.evict("a")
-        assert not c.evict("a")
-        c.access("b", 10)
+        c = StampLru(100, 10, 2)
+        c.access(0)
+        assert c.evict(0)
+        assert not c.evict(0)
+        c.access(1)
         c.clear()
         assert len(c) == 0 and c.used_bytes == 0
 
     def test_zero_capacity_cache_never_hits(self):
-        c = LruCache(0)
-        assert not c.access("a", 1)
-        assert not c.access("a", 1)
+        c = StampLru(0, 1, 1)
+        assert not c.access(0)
+        assert not c.access(0)
 
     def test_reset_counters(self):
-        c = LruCache(10)
-        c.access("a", 1)
+        c = StampLru(10, 1, 1)
+        c.access(0)
         c.reset_counters()
         assert c.hits == 0 and c.misses == 0
-        assert "a" in c  # contents survive
+        assert 0 in c  # contents survive
 
 
 class TestHddProfile:

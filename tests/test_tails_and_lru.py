@@ -152,21 +152,21 @@ class TestCheApproximation:
 
     def test_against_simulated_lru(self, rng):
         """Che vs a direct LRU simulation under IRM, Zipf popularity."""
-        from repro.simulator import LruCache
+        from repro.simulator import StampLru
 
         n = 2000
         ranks = rng.permutation(n) + 1
         weights = 1.0 / ranks.astype(float)
         probs = weights / weights.sum()
         capacity = 400
-        cache = LruCache(capacity)
+        cache = StampLru(capacity, 1, n)
         draws = rng.choice(n, size=120_000, p=probs)
         for obj in draws[:40_000]:  # warm
-            cache.access(int(obj), 1)
+            cache.access(int(obj))
         cache.reset_counters()
         for obj in draws[40_000:]:
-            cache.access(int(obj), 1)
-        simulated_miss = 1.0 - cache.hit_ratio
+            cache.access(int(obj))
+        simulated_miss = cache.misses / (cache.hits + cache.misses)
         predicted_miss = lru_miss_ratio(probs, np.ones(n), capacity)
         assert predicted_miss == pytest.approx(simulated_miss, abs=0.03)
 
