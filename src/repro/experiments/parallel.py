@@ -33,6 +33,7 @@ and figures drivers overlap the S1 and S16 sweeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import os
 from typing import Mapping, Sequence
@@ -56,6 +57,7 @@ __all__ = [
     "WindowEpisode",
     "window_episode",
     "execute",
+    "pool_map",
     "resolve_jobs",
 ]
 
@@ -352,17 +354,52 @@ def _run_point(ctx: SweepContext, task: PointTask):
 # pool plumbing
 # ----------------------------------------------------------------------
 
-_WORKER_CONTEXTS: Mapping[str, SweepContext] | None = None
+#: The payload :func:`pool_map` ships to each worker once, at start-up.
+_WORKER_PAYLOAD = None
 
 
-def _init_worker(contexts: Mapping[str, SweepContext]) -> None:
-    global _WORKER_CONTEXTS
-    _WORKER_CONTEXTS = contexts
+def _init_worker(payload) -> None:
+    global _WORKER_PAYLOAD
+    _WORKER_PAYLOAD = payload
 
 
-def _run_task(task: PointTask):
-    assert _WORKER_CONTEXTS is not None, "worker pool not initialised"
-    return run_point(_WORKER_CONTEXTS[task.context_key], task)
+def _call_with_payload(fn, item):
+    return fn(_WORKER_PAYLOAD, item)
+
+
+def pool_map(fn, payload, items: Sequence, workers: int) -> list:
+    """``[fn(payload, item) for item in items]``, over a process pool.
+
+    ``fn`` must be a module-level function.  ``payload`` is pickled once
+    per worker (the pool initializer), not once per item.  ``workers <=
+    1`` runs inline.  When a process pool cannot be created --
+    sandboxed environments, missing semaphores -- or breaks, execution
+    degrades to the inline path rather than failing; callers whose
+    results are pure in ``(payload, item)`` get the same list either way.
+    """
+    if workers > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(payload,),
+            ) as pool:
+                try:
+                    return list(
+                        pool.map(functools.partial(_call_with_payload, fn), items)
+                    )
+                except BrokenProcessPool:
+                    pass  # fall through to the inline path below
+        except (ImportError, OSError, PermissionError):
+            pass
+    return [fn(payload, item) for item in items]
+
+
+def _run_task(contexts: Mapping[str, SweepContext], task: PointTask):
+    return run_point(contexts[task.context_key], task)
 
 
 def execute(
@@ -376,28 +413,9 @@ def execute(
     the machine's core count: each worker is CPU-bound and carries its
     own per-process caches, so oversubscribing cores only adds scheduler
     contention and duplicated cache warmup (measured ~2x slower than
-    serial on a single-core host).  When a process pool cannot be
-    created -- sandboxed environments, missing semaphores -- execution
-    degrades to the serial path rather than failing; the results are
+    serial on a single-core host).  A pool that cannot be created
+    degrades to the serial path (:func:`pool_map`); the results are
     identical either way.
     """
-    jobs = resolve_jobs(jobs)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [run_point(contexts[t.context_key], t) for t in tasks]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(dict(contexts),),
-        ) as pool:
-            try:
-                return list(pool.map(_run_task, tasks))
-            except BrokenProcessPool:
-                pass  # fall through to the serial path below
-    except (ImportError, OSError, PermissionError):
-        pass
-    return [run_point(contexts[t.context_key], t) for t in tasks]
+    workers = min(resolve_jobs(jobs), len(tasks), os.cpu_count() or 1)
+    return pool_map(_run_task, dict(contexts), tasks, workers)

@@ -13,7 +13,7 @@ SLA.  This module wraps the three node-based algorithms with:
   (e.g. degenerate parse latency): convolving with a narrow Gamma smooths
   the jump so Euler's Fourier series converges, at the cost of a
   controlled bias ``~ mollify_width``,
-* optional **diagnostics** (``diagnostics=`` sink or an ambient
+* optional **diagnostics** (an ambient
   :class:`~repro.obs.diagnostics.DiagnosticsSession`): per-call telemetry
   of the half-term self-error estimate, cross-method disagreement, the
   previously-silent repair magnitudes, and memo-hit attribution.  The
@@ -42,7 +42,6 @@ from repro.laplace.talbot import talbot_invert
 __all__ = [
     "invert_cdf",
     "invert_pdf",
-    "invert_raw",
     "METHODS",
     "RepairWarning",
     "REPAIR_WARN_MASS",
@@ -75,15 +74,13 @@ def _resolve(method: str):
         ) from None
 
 
-def _sink(diagnostics):
-    """Resolve the diagnostics sink: explicit arg, else ambient session.
+def _sink():
+    """The ambient diagnostics session, or ``None``.
 
     Imported lazily so the hot path pays one module-global read when
     diagnostics are off and ``repro.laplace`` keeps no import-time
     dependency on the observability plane.
     """
-    if diagnostics is not None:
-        return diagnostics
     from repro.obs.diagnostics import current_session
 
     return current_session()
@@ -95,7 +92,6 @@ def invert_pdf(
     *,
     method: str = "euler",
     terms: int | None = None,
-    diagnostics=None,
 ):
     """Reconstruct the density of ``dist`` at times ``t``.
 
@@ -105,7 +101,7 @@ def invert_pdf(
     invert = _resolve(method)
     terms = _DEFAULT_TERMS[method] if terms is None else terms
     out = invert(dist.laplace, t, terms=terms)
-    sink = _sink(diagnostics)
+    sink = _sink()
     if sink is not None:
         t_flat = np.atleast_1d(np.asarray(t, dtype=float))
         _record(
@@ -134,7 +130,6 @@ def invert_cdf(
     method: str = "euler",
     terms: int | None = None,
     mollify_width: float = 0.0,
-    diagnostics=None,
     _pointwise: bool = False,
 ):
     """Evaluate ``P(X <= t)`` by inverting ``L(s)/s``.
@@ -143,8 +138,8 @@ def invert_cdf(
     atom (``t == 0``) or 0 (``t < 0``).  ``mollify_width > 0`` convolves
     with a Gamma of that mean and shape 8 before inverting, trading a
     small rightward bias for the removal of Gibbs oscillations around
-    interior atoms.  ``diagnostics`` (or an ambient
-    :class:`~repro.obs.diagnostics.DiagnosticsSession`) receives an
+    interior atoms.  An ambient
+    :class:`~repro.obs.diagnostics.DiagnosticsSession` receives an
     :class:`~repro.obs.diagnostics.InversionRecord` for the call.
 
     ``_pointwise`` is private to
@@ -238,7 +233,7 @@ def invert_cdf(
         dist, method, terms, mollify_width, t_flat, compute, _pointwise=_pointwise
     )
 
-    sink = _sink(diagnostics)
+    sink = _sink()
     if sink is not None:
         if mollify_width > 0.0:
 
@@ -326,9 +321,9 @@ def _fused_invert(transform, t, specs):
     """Run several ``(method, terms)`` inversions off one transform call.
 
     Returns ``{(method, terms): values}`` with ``values`` shaped like
-    ``t``.  Equivalent to calling :func:`invert_raw` per spec, but the
-    transform -- for composites, a full tree walk -- is evaluated on a
-    single concatenated ``s`` matrix.
+    ``t``.  Equivalent to running each method's inverter on ``transform``
+    with its own ``terms``, but the transform -- for composites, a full
+    tree walk -- is evaluated on a single concatenated ``s`` matrix.
     """
     blocks = [_node_block(method, terms) for method, terms in specs]
     s = np.concatenate([b[0] for b in blocks])[np.newaxis, :] / t[:, np.newaxis]
@@ -371,11 +366,15 @@ def _record(
     -- and it is a pure function of the transform, so it cannot change
     any result.
 
-    With ``sink.dedupe`` (the default) the extras run once per unique
-    ``(transform token, kind, method, terms, mollify)`` combination per
-    session; repeat calls are recorded with NaN error estimates.
+    The extras run once per unique ``(transform token, kind, method,
+    terms, mollify)`` combination per session; repeat calls are recorded
+    with NaN error estimates.
     """
-    from repro.obs.diagnostics import InversionRecord
+    from repro.obs.diagnostics import (
+        CROSS_METHODS,
+        MAX_CROSS_POINTS,
+        InversionRecord,
+    )
 
     t_flat = np.asarray(t_flat, dtype=float).ravel()
     out_flat = np.atleast_1d(np.asarray(out, dtype=float)).ravel()
@@ -385,7 +384,7 @@ def _record(
     if pos_idx.size and sink.should_check(
         _extras_key(dist, kind, method, terms, mollify_width)
     ):
-        n = min(int(sink.max_cross_points), pos_idx.size)
+        n = min(MAX_CROSS_POINTS, pos_idx.size)
         sel = pos_idx[
             np.unique(np.linspace(0, pos_idx.size - 1, n).round().astype(int))
         ]
@@ -401,11 +400,11 @@ def _record(
 
         specs = []
         half_spec = None
-        if sink.self_check and terms >= 2:
-            half_spec = (method, max(1, terms // 2))
+        if terms >= 2:
+            half_spec = (method, terms // 2)
             specs.append(half_spec)
         cross_specs = [
-            (m, _DEFAULT_TERMS[m]) for m in sink.cross_methods if m != method
+            (m, _DEFAULT_TERMS[m]) for m in CROSS_METHODS if m != method
         ]
         specs.extend(cs for cs in cross_specs if cs not in specs)
         if specs:
@@ -438,18 +437,6 @@ def _record(
             nan_repairs=nan_repairs,
         )
     )
-
-
-def invert_raw(method: str, transform, t, *, terms: int | None = None):
-    """Invert an arbitrary transform callable with a named method.
-
-    Diagnostic helper: no caching, no clipping, no repairs -- the bare
-    algorithm.  ``transform`` maps a complex ndarray ``s`` to transform
-    values (for a CDF pass ``L(s)/s``).
-    """
-    invert = _resolve(method)
-    terms = _DEFAULT_TERMS[method] if terms is None else terms
-    return invert(transform, t, terms=terms)
 
 
 def _dist_laplace(dist, s):

@@ -5,8 +5,11 @@ diagnosable after the fact:
 
 * :mod:`repro.obs.trace` -- per-request span tracing through the
   simulated system (accept wait, frontend queueing, backend union-op
-  phases, chunk sends, raw disk operations), emitted as JSONL.  Tracing
-  is **zero-overhead when disabled**: every hook site is a single
+  phases, chunk sends, raw disk operations), emitted as JSONL.  One
+  :class:`~repro.obs.trace.Tracer` keeps every request at its default
+  rate 1.0, or a deterministic head-sampled share of request ids
+  (shard-plan-invariant by construction).  Tracing is
+  **zero-overhead when disabled**: every hook site is a single
   ``if tracer is not None`` check and no tracer ever touches a random
   stream, so traced and untraced runs are bit-identical in results.
 * :mod:`repro.obs.hist` -- :class:`~repro.obs.hist.LatencyHistogram`, a
@@ -27,9 +30,8 @@ diagnosable after the fact:
   events (queued / started / finished) appended atomically to a JSONL
   file by serial and parallel runners alike, tailed live by
   ``cosmodel watch``.
-* :mod:`repro.obs.telemetry` -- fleet-scale telemetry: deterministic
-  head-sampled tracing (:class:`~repro.obs.telemetry.SampledTracer`,
-  shard-plan-invariant by construction), live shard streaming onto the
+* :mod:`repro.obs.telemetry` -- fleet-scale telemetry: per-cluster
+  sampled-trace files and their merge, live shard streaming onto the
   event bus (:class:`~repro.obs.telemetry.ShardStreamer`, consumed by
   ``cosmodel top``), and the kernel time profiler's merge/render layer.
 
@@ -51,7 +53,6 @@ from repro.obs.events import EventLog, follow, read_events, render_events
 from repro.obs.hist import LatencyHistogram
 from repro.obs.manifest import build_manifest, manifest_path_for, write_manifest
 from repro.obs.telemetry import (
-    SampledTracer,
     ShardStreamer,
     TelemetryConfig,
     TopView,
@@ -64,7 +65,6 @@ from repro.obs.trace import Tracer, read_trace
 
 __all__ = [
     "Tracer",
-    "SampledTracer",
     "TelemetryConfig",
     "ShardStreamer",
     "TopView",

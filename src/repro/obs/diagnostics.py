@@ -16,7 +16,7 @@ failure modes observable without perturbing a single number:
   subsample of ``t``), the previously-silent **repair magnitudes**
   (clip / NaN-at-denormal / monotone running-max) and whether the call
   was served from the inversion memo.  Sessions aggregate across a run
-  and flag calls whose self-error exceeds a tolerance.
+  and flag calls whose self-error exceeds :data:`TOLERANCE`.
 
 * :func:`describe_tree` / :func:`render_tree` -- walk a composite
   distribution (the Section III-B union-operation algebra) and report
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -94,6 +93,18 @@ class InversionRecord:
         return self.clip_mass + self.monotone_mass
 
 
+#: Calls whose self-error estimate exceeds this are flagged
+#: (:meth:`DiagnosticsSession.flagged`), the "your percentile may be
+#: wrong" signal.
+TOLERANCE = 1e-6
+#: Independent algorithms the shipped values are cross-checked against.
+#: The high-precision pair; ``gaver``'s ~1e-4 precision floor would
+#: dominate the disagreement.
+CROSS_METHODS = ("euler", "talbot")
+#: Subsample size of the self- and cross-checks (evenly spaced over ``t``).
+MAX_CROSS_POINTS = 8
+
+
 class DiagnosticsSession:
     """Aggregates :class:`InversionRecord` telemetry across a run.
 
@@ -104,62 +115,28 @@ class DiagnosticsSession:
             model.sla_percentile(0.1)
         print(diag.render())
 
-    or pass it explicitly via ``invert_cdf(..., diagnostics=diag)``.
     Sessions nest (the innermost active one receives the records).
 
-    Parameters
-    ----------
-    tolerance:
-        Calls whose self-error estimate exceeds this are flagged
-        (:meth:`flagged`), the "your percentile may be wrong" signal.
-    self_check:
-        Compute the term-halving self-error estimate (default on).
-    cross_methods:
-        Independent algorithms to cross-check against on a subsample of
-        ``t``.  Defaults to the high-precision pair ``euler``/``talbot``;
-        add ``"gaver"`` to triangulate with the real-axis method (its
-        ~1e-4 precision floor dominates the disagreement, so it is not
-        in the default set).
-    max_cross_points:
-        Subsample size for the cross-check (evenly spaced over ``t``).
-    dedupe:
-        Run the self/cross extras once per unique transform identity
-        (cache token + kind/method/terms/mollify) per session; repeat
-        calls are still recorded but carry NaN error estimates.  The
-        extras cost a full (cache-bypassed) tree walk per check, and a
-        sweep point re-inverts the same few transforms at every SLA
-        threshold, so this is what keeps instrumented sweeps cheap.
-        Pass ``False`` to check every call.
+    The term-halving self-check and the :data:`CROSS_METHODS` cross-check
+    run once per unique transform identity (cache token +
+    kind/method/terms/mollify) per session; repeat calls are still
+    recorded but carry NaN error estimates.  The extras cost a full
+    (cache-bypassed) tree walk per check, and a sweep point re-inverts
+    the same few transforms at every SLA threshold, so this is what
+    keeps instrumented sweeps cheap.
     """
 
-    def __init__(
-        self,
-        *,
-        tolerance: float = 1e-6,
-        self_check: bool = True,
-        cross_methods: Sequence[str] = ("euler", "talbot"),
-        max_cross_points: int = 8,
-        dedupe: bool = True,
-    ) -> None:
-        if tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        if max_cross_points < 1:
-            raise ValueError("max_cross_points must be >= 1")
-        self.tolerance = float(tolerance)
-        self.self_check = bool(self_check)
-        self.cross_methods = tuple(cross_methods)
-        self.max_cross_points = int(max_cross_points)
-        self.dedupe = bool(dedupe)
+    def __init__(self) -> None:
         self.records: list[InversionRecord] = []
         self._seen: set = set()
 
     def should_check(self, key) -> bool:
         """Whether the extras should run for a call with this identity.
 
-        ``None`` keys (uncacheable transforms) always run; with
-        ``dedupe`` enabled, a hashable key runs on first sight only.
+        ``None`` keys (uncacheable transforms) always run; a hashable key
+        runs on first sight only.
         """
-        if key is None or not self.dedupe:
+        if key is None:
             return True
         if key in self._seen:
             return False
@@ -191,7 +168,7 @@ class DiagnosticsSession:
         return [
             r
             for r in self.records
-            if not math.isnan(r.self_error) and r.self_error > self.tolerance
+            if not math.isnan(r.self_error) and r.self_error > TOLERANCE
         ]
 
     @staticmethod
@@ -209,12 +186,12 @@ class DiagnosticsSession:
             "n_calls": len(recs),
             "n_cache_hits": sum(r.cache_hit for r in recs),
             "n_flagged": len(self.flagged()),
-            "tolerance": self.tolerance,
+            "tolerance": TOLERANCE,
             "max_self_error": self._nanmax(r.self_error for r in recs),
             "max_cross_disagreement": self._nanmax(
                 r.cross_disagreement for r in recs
             ),
-            "cross_methods": list(self.cross_methods),
+            "cross_methods": list(CROSS_METHODS),
             "total_repaired_mass": total_repaired,
             "total_nan_repairs": sum(
                 r.nan_repairs for r in recs if r.nan_repairs >= 0
@@ -232,7 +209,7 @@ class DiagnosticsSession:
             f"  max self-error        {s['max_self_error']:.3e}"
             f"  (tolerance {s['tolerance']:.1e}, {s['n_flagged']} flagged)",
             f"  max cross-method gap  {s['max_cross_disagreement']:.3e}"
-            f"  ({' vs '.join(self.cross_methods)})",
+            f"  ({' vs '.join(CROSS_METHODS)})",
             f"  repaired mass         {s['total_repaired_mass']:.3e}"
             f"  ({s['total_nan_repairs']} NaN-at-denormal repairs)",
         ]

@@ -1,21 +1,15 @@
-"""Fleet-scale telemetry: sampled tracing, live shard streaming, and
-the kernel time profiler's export/merge/render layer.
+"""Fleet-scale telemetry: per-cluster trace files, live shard
+streaming, and the kernel time profiler's export/merge/render layer.
 
 Three pillars (docs/OBSERVABILITY.md, "Fleet telemetry"):
 
-**Deterministic sampled tracing.**  A head-based sampling decision is
-taken per request from a hash of ``(trace_seed, cluster_index,
-request_id)`` -- never from wall clock, worker identity or a random
-stream -- so the *same* requests are sampled no matter how clusters are
-grouped into shards or how many worker processes run them.  Request ids
-are per-cluster sequential and cluster seeds are index-derived, which
-makes the triple shard-plan-invariant by construction.  The hash is the
-splitmix64 finalizer: cheap, well mixed in the low bits, and available
-in identical scalar (:func:`is_sampled`) and vectorised
-(:func:`sample_mask`) forms, ``is_sampled(r) == sample_mask([r])[0]``
-for every ``r``.  :class:`SampledTracer` applies the decision *inside*
-the tracer, so none of the simulator's hook sites change; only sampled
-requests' spans are materialised.
+**Deterministic sampled tracing.**  Each cluster of a fleet runs a
+head-sampling :class:`~repro.obs.trace.Tracer` salted with
+``(trace_seed, cluster_index)``.  Request ids are per-cluster sequential
+and cluster seeds are index-derived, so the sampled set is
+shard-plan-invariant by construction.  Each cluster writes its records
+to ``trace-cluster%04d.jsonl`` (:func:`shard_trace_path`), and
+:func:`merge_shard_traces` stitches the files into one stream.
 
 **Live shard streaming.**  :class:`ShardStreamer` periodically flushes
 compact metric snapshots -- event counts, events/s, per-family
@@ -48,168 +42,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.trace import Tracer, read_trace, write_trace
+from repro.obs.trace import read_trace, write_trace
 
 __all__ = [
     "TelemetryConfig",
-    "SampledTracer",
     "ShardStreamer",
     "TopView",
     "KERNEL_PROFILE_KIND",
-    "is_sampled",
-    "sample_mask",
-    "sample_salt",
-    "sample_threshold",
     "merge_shard_traces",
     "merge_profile_rows",
     "profile_doc",
     "render_kernel_profile",
     "render_top",
 ]
-
-
-# ----------------------------------------------------------------------
-# deterministic head-based sampling
-# ----------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer (scalar form)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def sample_salt(trace_seed: int, cluster_index: int = 0) -> int:
-    """Per-cluster hash salt.
-
-    Depends only on ``(trace_seed, cluster_index)`` -- both invariant
-    under resharding and worker count -- so the sampled set is too.
-    """
-    return _mix64(
-        (trace_seed & _MASK64) ^ _mix64(((cluster_index + 1) * _GOLDEN) & _MASK64)
-    )
-
-
-def sample_threshold(rate: float) -> int:
-    """The 64-bit acceptance threshold for a sampling ``rate`` in [0, 1]."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"sample rate must be in [0, 1], got {rate}")
-    if rate >= 1.0:
-        return 1 << 64
-    return int(rate * float(1 << 64))
-
-
-def is_sampled(rid: int, salt: int, threshold: int) -> bool:
-    """Scalar sampling decision for one request id."""
-    return _mix64(rid ^ salt) < threshold
-
-
-def sample_mask(rids, salt: int, threshold: int) -> np.ndarray:
-    """Vectorised sibling of :func:`is_sampled` (bit-identical)."""
-    x = np.asarray(rids, dtype=np.uint64) ^ np.uint64(salt)
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(0xBF58476D1CE4E5B9)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-    if threshold >= 1 << 64:
-        return np.ones(x.shape, dtype=bool)
-    return x < np.uint64(threshold)
-
-
-class SampledTracer(Tracer):
-    """A :class:`Tracer` that keeps only deterministically-sampled
-    requests.
-
-    Every hook receives the request id, so the gate lives entirely in
-    here -- the simulator's emission sites are byte-for-byte those of a
-    plain tracer.  Hook calls for unsampled requests return after one
-    cached-decision check.  Decisions are precomputed in vectorised
-    blocks (request ids are sequential per cluster), so the steady-state
-    per-call cost is an attribute compare plus a list index.
-
-    Like the base tracer, no random stream is ever touched: traced and
-    untraced runs are bit-identical in every simulated quantity.
-    """
-
-    __slots__ = ("rate", "salt", "threshold", "_decisions", "_last_rid",
-                 "_last_on")
-
-    _BLOCK = 8192
-
-    def __init__(
-        self, rate: float, *, seed: int = 0, cluster_index: int = 0
-    ) -> None:
-        super().__init__()
-        self.rate = float(rate)
-        self.salt = sample_salt(int(seed), int(cluster_index))
-        self.threshold = sample_threshold(self.rate)
-        self._decisions: list[bool] = []
-        self._last_rid = -1
-        self._last_on = False
-
-    # ------------------------------------------------------------------
-    def wants(self, rid: int) -> bool:
-        """The (cached) sampling decision for ``rid``."""
-        if rid == self._last_rid:
-            return self._last_on
-        if rid < 0:
-            # Synthetic tags (warmup probes, unowned ops) are never
-            # sampled; they carry no request identity to merge on.
-            return False
-        dec = self._decisions
-        if rid >= len(dec):
-            n0 = len(dec)
-            n1 = max(rid + 1, n0 + self._BLOCK)
-            dec.extend(
-                sample_mask(
-                    np.arange(n0, n1, dtype=np.uint64),
-                    self.salt,
-                    self.threshold,
-                ).tolist()
-            )
-        on = dec[rid]
-        self._last_rid = rid
-        self._last_on = on
-        return on
-
-    # -- gated emission hooks ------------------------------------------
-    def admit_span(self, rid, fid, t):
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.admit_span(self, rid, fid, t)
-
-    def frontend_span(self, rid, fid, t0, t1):
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.frontend_span(self, rid, fid, t0, t1)
-
-    def accept_span(self, rid, dev, t0, t1):
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.accept_span(self, rid, dev, t0, t1)
-
-    def disk_span(self, tag, dev, op, t0, start, end):
-        if self._last_on if tag == self._last_rid else self.wants(tag):
-            Tracer.disk_span(self, tag, dev, op, t0, start, end)
-
-    def send_span(self, rid, dev, idx, t0, t1, first, last):
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.send_span(self, rid, dev, idx, t0, t1, first, last)
-
-    def timeout_event(self, rid, dev, attempt, now):
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.timeout_event(self, rid, dev, attempt, now)
-
-    def request_span(self, req):
-        rid = req.rid
-        if self._last_on if rid == self._last_rid else self.wants(rid):
-            Tracer.request_span(self, req)
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +66,9 @@ class SampledTracer(Tracer):
 class TelemetryConfig:
     """Fleet telemetry knobs (all off by default; picklable).
 
-    ``trace_sample_rate`` > 0 installs a :class:`SampledTracer` per
-    cluster (seeded from ``trace_seed`` and the cluster index) and, when
+    ``trace_sample_rate`` > 0 installs a head-sampling
+    :class:`~repro.obs.trace.Tracer` per cluster (seeded from
+    ``trace_seed`` and the cluster index) and, when
     ``trace_dir`` is set, writes one ``trace-cluster%04d.jsonl`` per
     cluster for :func:`merge_shard_traces`.  ``bus_path`` streams live
     shard snapshots onto that event log every ``stream_interval`` wall

@@ -197,7 +197,9 @@ class Cluster:
     ) -> None:
         self.config = config
         self.object_sizes = np.asarray(object_sizes, dtype=np.int64)
-        self._sizes_list = self.object_sizes.tolist()
+        # Indexing a memoryview yields a Python int (what ``Request``
+        # stores) without holding one int object per catalog entry.
+        self._sizes = memoryview(self.object_sizes)
         if self.object_sizes.size == 0 or np.any(self.object_sizes <= 0):
             raise ValueError("object sizes must be positive")
         self.sim = Simulator()
@@ -416,7 +418,7 @@ class Cluster:
         req = Request(
             self._next_rid,
             object_id,
-            self._sizes_list[object_id],
+            self._sizes[object_id],
             self.config.chunk_bytes,
             is_write=is_write,
             is_delete=is_delete,

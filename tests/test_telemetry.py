@@ -4,7 +4,8 @@ Covers docs/OBSERVABILITY.md "Fleet telemetry":
 
 * the deterministic head-based sampling hash (scalar == vectorised,
   shard-plan-invariant, edge rates);
-* :class:`SampledTracer` tracing exactly the hashed requests;
+* a sampling :class:`Tracer` tracing exactly the hashed requests, each
+  with the records the full (rate 1.0) tracer gives it;
 * :class:`TelemetryConfig` rejecting a sample rate outside [0, 1] and
   a non-finite or negative stream interval;
 * bit-identity of the simulated state under every telemetry facility;
@@ -40,22 +41,24 @@ from repro.experiments.fleet import (
 )
 from repro.obs.events import EventLog, follow, read_events
 from repro.obs.telemetry import (
-    SampledTracer,
     ShardStreamer,
     TelemetryConfig,
     TopView,
-    is_sampled,
     merge_profile_rows,
     merge_shard_traces,
     render_kernel_profile,
     render_top,
-    sample_mask,
-    sample_salt,
-    sample_threshold,
     shard_trace_path,
     write_profile,
 )
-from repro.obs.trace import Tracer, write_trace
+from repro.obs.trace import (
+    Tracer,
+    is_sampled,
+    sample_mask,
+    sample_salt,
+    sample_threshold,
+    write_trace,
+)
 from repro.simulator import Simulator
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.metrics import MetricsRecorder, merge_recorder_states
@@ -115,24 +118,41 @@ class TestSamplingHash:
         assert sample_salt(1, 0) != sample_salt(1, 1)
 
     def test_sampled_tracer_negative_rid_never_sampled(self):
-        tracer = SampledTracer(1.0, seed=3)
+        # Even the full (rate 1.0) tracer drops untagged (-1) operations.
+        tracer = Tracer(seed=3)
         assert not tracer.wants(-1)
         assert tracer.wants(0)
+        tracer.disk_span(-1, 0, "data", 0.0, 0.1, 0.2)
+        assert tracer.events == []
+        tracer.disk_span(0, 0, "data", 0.0, 0.1, 0.2)
+        assert len(tracer.events) == 1
 
 
 # ----------------------------------------------------------------------
-# SampledTracer in a cluster: gating, bit-identity
+# a sampling Tracer in a cluster: gating, bit-identity
 # ----------------------------------------------------------------------
 
 
-class TestSampledTracerCluster:
+class TestTracerSamplingCluster:
     def test_state_bit_identical_to_untraced(self):
         base = _drive(_mini_cluster())
-        traced = _drive(_mini_cluster(tracer=SampledTracer(0.02, seed=9)))
+        traced = _drive(_mini_cluster(tracer=Tracer(0.02, seed=9)))
         assert traced == base
 
+    def test_sampling_only_filters_the_full_trace(self):
+        full = Tracer()
+        _drive(_mini_cluster(tracer=full), write_fraction=0.15)
+        sampled = Tracer(0.05, seed=9)
+        _drive(_mini_cluster(tracer=sampled), write_fraction=0.15)
+        kept = [
+            e for e in full.events
+            if is_sampled(e["rid"], sampled.salt, sampled.threshold)
+        ]
+        assert kept, "no request sampled"
+        assert sampled.events == kept
+
     def test_exactly_the_hashed_requests_are_traced(self):
-        tracer = SampledTracer(0.05, seed=9)
+        tracer = Tracer(0.05, seed=9)
         cl = _mini_cluster(tracer=tracer)
         _drive(cl)
         n = cl.metrics.n_requests
