@@ -885,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="RATE",
         help="deterministic trace-sampling rate in [0, 1] "
-        "(head-based, shard-plan-invariant)",
+        "(head-based, shard-plan-invariant; needs --trace-dir)",
     )
     p.add_argument(
         "--trace-seed",
@@ -979,7 +979,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fleet" and args.sample > 0.0 and args.trace_dir is None:
+        parser.error("fleet --sample needs --trace-dir: the sampled spans "
+                     "are only kept in the per-cluster trace files")
     return args.func(args)
 
 

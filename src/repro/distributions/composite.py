@@ -35,26 +35,13 @@ from repro.distributions.base import (
     check_probability,
 )
 from repro.distributions.analytic import Degenerate
-from repro.distributions.evalcache import laplace_eval, laplace_many
-
-#: "Token not yet computed" sentinel for the per-instance ``cache_token``
-#: memo below.  ``None`` is a *valid* token value ("uncacheable"), so the
-#: sentinel must be distinct from it -- and composites travel through
-#: pickle (calibration bundles shipped to sweep workers), so it must also
-#: survive a round-trip with its identity intact.  ``False`` is both: no
-#: ``cache_token`` ever returns a bool, and it unpickles to the singleton.
-_UNSET = False
+from repro.distributions.evalcache import laplace_eval
 
 
 def _child_tokens(components) -> tuple | None:
     """Tokens of every child, or ``None`` if any child is uncacheable."""
-    tokens = []
-    for c in components:
-        token = c.cache_token()
-        if token is None:
-            return None
-        tokens.append(token)
-    return tuple(tokens)
+    tokens = tuple(c.cache_token() for c in components)
+    return None if None in tokens else tokens
 
 __all__ = [
     "Mixture",
@@ -73,7 +60,7 @@ __all__ = [
 class Mixture(Distribution):
     """Probabilistic mixture ``sum_i w_i F_i`` with weights summing to 1."""
 
-    __slots__ = ("components", "weights", "_token")
+    __slots__ = ("components", "weights")
 
     def __init__(self, components: Sequence[Distribution], weights) -> None:
         weights = np.asarray(weights, dtype=float)
@@ -84,7 +71,6 @@ class Mixture(Distribution):
             raise DistributionError("weights must be non-negative and sum to 1")
         self.components = components
         self.weights = weights / weights.sum()
-        self._token = _UNSET
 
     @classmethod
     def rate_weighted(
@@ -117,25 +103,14 @@ class Mixture(Distribution):
         return all(c.has_laplace for c in self.components)
 
     def cache_token(self) -> tuple | None:
-        # Memoised: the fields are frozen after __init__, and rebuilding
-        # the token walks the whole composite tree (the dominant cost of
-        # a cache *hit* in deep Equation-3 mixtures).
-        token = self._token
-        if token is _UNSET:
-            children = _child_tokens(self.components)
-            token = (
-                None
-                if children is None
-                else ("mix", tuple(self.weights.tolist()), children)
-            )
-            self._token = token
-        return token
+        children = _child_tokens(self.components)
+        return None if children is None else ("mix", tuple(self.weights.tolist()), children)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
         out = np.zeros_like(s)
-        for w, v in zip(self.weights, laplace_many(self.components, s)):
-            out = out + w * v
+        for w, c in zip(self.weights, self.components):
+            out = out + w * laplace_eval(c, s)
         return out
 
     def cdf(self, t, **kwargs):
@@ -176,12 +151,11 @@ class ZeroInflated(Distribution):
     index lookup, metadata read and data read under caching.
     """
 
-    __slots__ = ("base", "miss_ratio", "_token")
+    __slots__ = ("base", "miss_ratio")
 
     def __init__(self, base: Distribution, miss_ratio: float) -> None:
         self.base = base
         self.miss_ratio = check_probability("miss_ratio", miss_ratio)
-        self._token = _UNSET
 
     @property
     def mean(self) -> float:
@@ -200,12 +174,8 @@ class ZeroInflated(Distribution):
         return self.base.has_laplace
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            base = self.base.cache_token()
-            token = None if base is None else ("zi", self.miss_ratio, base)
-            self._token = token
-        return token
+        base = self.base.cache_token()
+        return None if base is None else ("zi", self.miss_ratio, base)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
@@ -235,14 +205,13 @@ class ZeroInflated(Distribution):
 class Convolution(Distribution):
     """Sum of independent components; transform is the product."""
 
-    __slots__ = ("components", "_token")
+    __slots__ = ("components",)
 
     def __init__(self, components: Sequence[Distribution]) -> None:
         components = tuple(components)
         if not components:
             raise DistributionError("convolution needs at least one component")
         self.components = components
-        self._token = _UNSET
 
     @property
     def mean(self) -> float:
@@ -266,18 +235,14 @@ class Convolution(Distribution):
         return all(c.has_laplace for c in self.components)
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            children = _child_tokens(self.components)
-            token = None if children is None else ("conv", children)
-            self._token = token
-        return token
+        children = _child_tokens(self.components)
+        return None if children is None else ("conv", children)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
         out = np.ones_like(s)
-        for v in laplace_many(self.components, s):
-            out = out * v
+        for c in self.components:
+            out = out * laplace_eval(c, s)
         return out
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -327,12 +292,11 @@ class PoissonCompound(Distribution):
     once the common ``parse * index * meta * data`` factor is pulled out.
     """
 
-    __slots__ = ("base", "rate", "_token")
+    __slots__ = ("base", "rate")
 
     def __init__(self, base: Distribution, rate: float) -> None:
         self.base = base
         self.rate = check_non_negative("rate", rate)
-        self._token = _UNSET
 
     @property
     def mean(self) -> float:
@@ -354,12 +318,8 @@ class PoissonCompound(Distribution):
         return self.base.has_laplace
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            base = self.base.cache_token()
-            token = None if base is None else ("pois", self.rate, base)
-            self._token = token
-        return token
+        base = self.base.cache_token()
+        return None if base is None else ("pois", self.rate, base)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
@@ -386,14 +346,13 @@ class PoissonCompound(Distribution):
 class Scaled(Distribution):
     """``c * X`` for a positive constant ``c``."""
 
-    __slots__ = ("base", "factor", "_token")
+    __slots__ = ("base", "factor")
 
     def __init__(self, base: Distribution, factor: float) -> None:
         if factor <= 0.0 or not np.isfinite(factor):
             raise DistributionError(f"factor must be positive, got {factor}")
         self.base = base
         self.factor = float(factor)
-        self._token = _UNSET
 
     @property
     def mean(self) -> float:
@@ -412,12 +371,8 @@ class Scaled(Distribution):
         return self.base.has_laplace
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            base = self.base.cache_token()
-            token = None if base is None else ("scale", self.factor, base)
-            self._token = token
-        return token
+        base = self.base.cache_token()
+        return None if base is None else ("scale", self.factor, base)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)
@@ -434,12 +389,11 @@ class Scaled(Distribution):
 class Shifted(Distribution):
     """``X + c`` for a non-negative constant ``c``."""
 
-    __slots__ = ("base", "shift", "_token")
+    __slots__ = ("base", "shift")
 
     def __init__(self, base: Distribution, shift: float) -> None:
         self.base = base
         self.shift = check_non_negative("shift", shift)
-        self._token = _UNSET
 
     @property
     def mean(self) -> float:
@@ -458,12 +412,8 @@ class Shifted(Distribution):
         return self.base.has_laplace
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            base = self.base.cache_token()
-            token = None if base is None else ("shift", self.shift, base)
-            self._token = token
-        return token
+        base = self.base.cache_token()
+        return None if base is None else ("shift", self.shift, base)
 
     def laplace(self, s):
         s = np.asarray(s, dtype=complex)

@@ -1,23 +1,27 @@
-"""Memoised evaluation of repeated distribution composites.
+"""Memoised grid discretisations and CDF inversions.
 
-The model builders re-create structurally identical composites many
-times: the three model families share device-level sub-composites, every
-SLA evaluation re-inverts transforms at the same quadrature nodes, and
-the grid/Laplace cross-validation discretises the same objects twice.
-Distributions are immutable values, so evaluation results can be cached
-by *value identity*: each distribution exposes
+Two evaluations are worth keeping across calls: a lattice
+discretisation (the redundant models' FFT compositions re-discretise
+the same per-device laws for every replica row) and a whole CDF
+inversion (a warm SLA query on an equal model asks for the same times).
+Distributions are immutable values, so results are cached by *value
+identity*: each distribution exposes
 :meth:`~repro.distributions.base.Distribution.cache_token`, a hashable
 tuple that two instances share iff they denote the same law.  ``None``
 means "not cacheable" (e.g. a :class:`TransformDistribution` wrapping an
 opaque closure without an explicit token) and evaluation falls through
 uncached.
 
+Transforms are not memoised.  A model's system transform is one
+compiled plan (:class:`~repro.model.plan.SystemPlan`) whose leaf laws
+are each evaluated once per node array, and an inversion's nodes are
+never asked for twice, so a Laplace memo stored far more than it
+served.  :func:`laplace_eval` only counts the transform evaluations it
+routes (``stats()["laplace_calls"]``).
+
 Caches are LRUs bounded twice: by entry count (:data:`MAX_ENTRIES`)
 and by the bytes of the arrays they hold (:data:`MAX_BYTES`), each per
-cache.  The byte bound is the one that matters for memory: an inversion
-at thousands of points leaves a node-value array of a few megabytes per
-composite node, which an entry bound alone lets pile up to hundreds of
-megabytes.  Cached arrays are returned read-only so a hit can be handed
+cache.  Cached arrays are returned read-only so a hit can be handed
 out without copying.  Determinism note: a cache hit returns exactly what
 the original evaluation produced, and an eviction only means the value
 is recomputed, so memoisation can never change results -- which the
@@ -33,8 +37,6 @@ import numpy as np
 
 __all__ = [
     "laplace_eval",
-    "laplace_many",
-    "s_context",
     "cached_grid",
     "cached_inversion",
     "clear",
@@ -45,11 +47,8 @@ __all__ = [
 MAX_ENTRIES = 4096
 
 #: Per-cache bound on the bytes of the cached values (``ndarray.nbytes``,
-#: or ``probs.nbytes`` for a grid PMF; the ``s`` payload inside the keys
-#: is shared per inversion and not charged).  A value larger than this
-#: is returned but not stored.  A kofn@2 query's hits reach back at most
-#: ~39 MB of more recently used entries; at 32 MiB it loses 42 of its
-#: 552 hits and runs slower, at 64 MiB it loses none.
+#: or ``probs.nbytes`` for a grid PMF; keys are not charged).  A value
+#: larger than this is returned but not stored.
 MAX_BYTES = 64 * 2**20
 
 
@@ -121,10 +120,9 @@ class _Lru:
 
 
 _enabled = True
-_laplace = _Lru()
 _grids = _Lru()
 _inversions = _Lru()
-_caches = (_laplace, _grids, _inversions)
+_caches = (_grids, _inversions)
 _calls = {"laplace": 0, "grid": 0, "inversion": 0}
 
 
@@ -172,50 +170,11 @@ def stats() -> dict:
         "laplace_calls": _calls["laplace"],
         "grid_calls": _calls["grid"],
         "inversion_calls": _calls["inversion"],
-        "laplace_entries": len(_laplace),
         "grid_entries": len(_grids),
         "inversion_entries": len(_inversions),
-        "laplace_bytes": _laplace.nbytes,
         "grid_bytes": _grids.nbytes,
         "inversion_bytes": _inversions.nbytes,
     }
-
-
-#: Interned quadrature matrix (identity-compared) and its precomputed
-#: ``(shape, bytes)`` key suffix.  An inversion evaluates every node of a
-#: composite tree at *one* ``s`` matrix; registering it via
-#: :func:`s_context` lets each child lookup skip ``s.tobytes()`` and --
-#: because the single ``bytes`` object is reused across keys and CPython
-#: caches ``bytes.__hash__`` -- hash the 10s-of-KB payload exactly once.
-_s_array: np.ndarray | None = None
-_s_key: tuple | None = None
-
-
-@contextlib.contextmanager
-def s_context(s):
-    """Intern ``s`` as the shared quadrature matrix for the duration.
-
-    Yields the canonical complex ndarray; callers must evaluate through
-    that exact object for the interning to apply (``Scaled`` rescales
-    ``s`` and therefore deliberately falls off the fast path).  Contexts
-    nest; the previous interned matrix is restored on exit.
-    """
-    global _s_array, _s_key
-    s = np.asarray(s, dtype=complex)
-    prev = (_s_array, _s_key)
-    _s_array = s
-    _s_key = (s.shape, s.tobytes())
-    try:
-        yield s
-    finally:
-        _s_array, _s_key = prev
-
-
-def _key_suffix(s: np.ndarray) -> tuple:
-    """``(shape, bytes)`` of ``s``, reusing the interned copy when registered."""
-    if s is _s_array:
-        return _s_key
-    return (s.shape, s.tobytes())
 
 
 def _validate_token(dist, token) -> None:
@@ -239,61 +198,13 @@ def _validate_token(dist, token) -> None:
 
 
 def laplace_eval(dist, s) -> np.ndarray:
-    """``dist.laplace(s)``, memoised on ``(cache_token, s)``.
+    """``dist.laplace(s)``, counted in ``stats()["laplace_calls"]``.
 
-    Composites call this on their children, so a sub-composite shared by
-    several models (or evaluated at the same quadrature nodes twice) is
-    computed once.  The returned array is read-only.
+    Composites evaluate their children through this, so the count is
+    the number of transform nodes an evaluation visited.
     """
     _calls["laplace"] += 1
-    s = np.asarray(s, dtype=complex)
-    token = dist.cache_token() if _enabled else None
-    if token is None:
-        return dist.laplace(s)
-    _validate_token(dist, token)
-    key = (token,) + _key_suffix(s)
-    value = _laplace.get(key)
-    if value is None:
-        value = np.asarray(dist.laplace(s))
-        if value.flags.writeable:
-            value.setflags(write=False)
-        _laplace.put(key, value)
-    return value
-
-
-def laplace_many(dists, s) -> list:
-    """Evaluate ``laplace`` for every distribution at shared nodes ``s``.
-
-    Batched sibling of :func:`laplace_eval` for the factors of a product
-    (:class:`~repro.distributions.composite.Convolution`) or the branches
-    of a mixture: the ``s`` canonicalisation and key suffix are computed
-    once and shared across all children instead of once per child.  Hit
-    and miss results are byte-identical to per-child :func:`laplace_eval`
-    calls, so swapping one for the other cannot change any artifact.
-    """
-    s = np.asarray(s, dtype=complex)
-    if not _enabled:
-        _calls["laplace"] += len(dists)
-        return [d.laplace(s) for d in dists]
-    suffix = _key_suffix(s)
-    out = []
-    append = out.append
-    for dist in dists:
-        _calls["laplace"] += 1
-        token = dist.cache_token()
-        if token is None:
-            append(dist.laplace(s))
-            continue
-        _validate_token(dist, token)
-        key = (token,) + suffix
-        value = _laplace.get(key)
-        if value is None:
-            value = np.asarray(dist.laplace(s))
-            if value.flags.writeable:
-                value.setflags(write=False)
-            _laplace.put(key, value)
-        append(value)
-    return out
+    return dist.laplace(s)
 
 
 def cached_grid(dist, dt: float, n: int, compute):

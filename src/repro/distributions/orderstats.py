@@ -41,10 +41,6 @@ from repro.distributions.grid import GridPMF, grid_of
 
 __all__ = ["OrderStatistic", "order_statistic"]
 
-#: "Token not yet computed" sentinel (see composite.py: ``None`` is a
-#: valid token value and the sentinel must survive pickling).
-_UNSET = False
-
 #: Lattice resolution and captured-mass target of the moments (order
 #: statistics have no closed-form moments in general).
 _MOMENT_BINS = 4096
@@ -143,7 +139,7 @@ class OrderStatistic(Distribution):
     probabilities reused, so iid components cost one evaluation.
     """
 
-    __slots__ = ("components", "k", "_token", "_moments")
+    __slots__ = ("components", "k", "_moments")
 
     has_laplace = False
 
@@ -157,7 +153,6 @@ class OrderStatistic(Distribution):
             raise DistributionError(f"order k={k} out of range for n={n}")
         self.components = components
         self.k = k
-        self._token = _UNSET
         self._moments: tuple[float, float] | None = None
 
     @property
@@ -165,12 +160,8 @@ class OrderStatistic(Distribution):
         return len(self.components)
 
     def cache_token(self) -> tuple | None:
-        token = self._token
-        if token is _UNSET:
-            children = _child_tokens(self.components)
-            token = None if children is None else ("ordstat", self.k, children)
-            self._token = token
-        return token
+        children = _child_tokens(self.components)
+        return None if children is None else ("ordstat", self.k, children)
 
     @property
     def atom_at_zero(self) -> float:

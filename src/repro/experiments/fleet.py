@@ -375,7 +375,7 @@ def _run_cluster(scenario: FleetScenario, sizes: np.ndarray, task: ClusterTask) 
         if streamer is not None:
             streamer.finish(wall_s=time.perf_counter() - t_wall)
         trace_path = None
-        if tracer is not None and telem.trace_dir is not None:
+        if tracer is not None:
             trace_path = shard_trace_path(telem.trace_dir, task.index)
             write_trace(tracer.events, trace_path)
         return {

@@ -4,9 +4,11 @@ Builds the paper's model for a scenario (or a ``system.json``
 description) and renders what is normally hidden inside
 ``sla_percentile``:
 
-* the composite distribution tree of the Equation-3 mixture -- every
-  union-operation node with its structure, moments, zero-atom mass and
-  cache-token sharing (:func:`repro.obs.diagnostics.render_tree`);
+* the evaluation plan the model compiled (its classes, distinct leaf
+  laws and M/M/1/K disks) and the per-class distribution trees whose
+  laws it evaluates -- every union-operation node with its structure,
+  moments, zero-atom mass and recurring value tokens
+  (:func:`repro.obs.diagnostics.render_tree`);
 * the per-device breakdown and rate-weighted stage means;
 * live inversion telemetry for the scenario's SLA evaluations -- the
   model is asked for each SLA percentile inside a
@@ -30,6 +32,7 @@ from repro.experiments.parallel import measure_point
 from repro.experiments.runner import _point_tasks, _prepare_context, calibrate
 from repro.experiments.scenarios import scenario_s1, scenario_s16
 from repro.model import build_model
+from repro.model.plan import SystemPlan
 
 __all__ = ["inspect_target", "render_inspection"]
 
@@ -105,10 +108,12 @@ def render_inspection(model, slas, note: str) -> str:
 
     sections = [f"model inspection: {note}", ""]
 
+    if isinstance(model.system_latency, SystemPlan):
+        sections.append(f"evaluation plan: {model.system_latency!r}")
     summary = tree_summary(model.system_latency)
     sections.append(
         f"distribution tree ({summary['n_nodes']} nodes, "
-        f"{summary['n_shared_nodes']} cache-shared, "
+        f"{summary['n_shared_nodes']} shared, "
         f"{summary['n_uncacheable_nodes']} uncacheable):"
     )
     sections.append(render_tree(model.system_latency))

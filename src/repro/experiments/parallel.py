@@ -145,8 +145,10 @@ def run_point(ctx: SweepContext, task: PointTask):
     tables, processes pointing at devices pointing back), so generation
     scans triggered by event-loop allocation churn repeatedly traverse
     the whole object graph for no reclaimable garbage -- several
-    percent of a sweep's wall time.  One point's true garbage is
-    bounded, and collection resumes on exit either way.
+    percent of a sweep's wall time.  On exit, collection resumes and a
+    young-generation collection frees the point's cluster: nothing
+    allocates a container before the next point pauses the collector
+    again, so no automatic collection would ever reclaim it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -157,6 +159,7 @@ def run_point(ctx: SweepContext, task: PointTask):
     finally:
         if was_enabled:
             gc.enable()
+            gc.collect(0)
 
 
 def _run_point_instrumented(ctx: SweepContext, task: PointTask):

@@ -152,22 +152,17 @@ def invert_cdf(
     terms = _DEFAULT_TERMS[method] if terms is None else terms
     atom = float(getattr(dist, "atom_at_zero", 0.0))
 
-    # ``s_context`` interns the inverter's quadrature matrix for the
-    # single transform call, so every node of the composite tree keys the
-    # memo by identity instead of re-serialising ``s`` per child.
     if mollify_width > 0.0:
         shape = 8.0
         rate = shape / mollify_width
 
         def transform(s):
-            with evalcache.s_context(s) as s:
-                return _dist_laplace(dist, s) * (1.0 + s / rate) ** (-shape) / s
+            return evalcache.laplace_eval(dist, s) * (1.0 + s / rate) ** (-shape) / s
 
     else:
 
         def transform(s):
-            with evalcache.s_context(s) as s:
-                return _dist_laplace(dist, s) / s
+            return evalcache.laplace_eval(dist, s) / s
 
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -437,10 +432,3 @@ def _record(
             nan_repairs=nan_repairs,
         )
     )
-
-
-def _dist_laplace(dist, s):
-    """Evaluate ``dist.laplace`` through the value-identity cache."""
-    if hasattr(dist, "cache_token"):
-        return evalcache.laplace_eval(dist, s)
-    return dist.laplace(np.asarray(s, dtype=complex))

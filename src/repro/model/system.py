@@ -13,8 +13,13 @@ The base, degraded (:class:`DegradedLatencyModel`) and redundant
 (:class:`~repro.model.redundancy.RedundantLatencyModel`) predictors are
 constructors of one private core: it solves the frontend queue ``S_q``
 once (every request passes the same M/G/1 parse queue, Section III-C),
-solves each device's backend, composes Equation 2 per device class and
-Equation 3 over the classes, and answers the queries.
+composes Equation 2 per device class and Equation 3 over the classes,
+and answers the queries.  With the paper's accept wait (or none) and
+M/M/1/K disks the composition is compiled into one evaluation plan
+(:class:`~repro.model.plan.SystemPlan`): a query evaluates arrays over
+the classes and walks no tree, and each device's backend and
+distribution tree is solved only when asked for.  The equilibrium
+accept wait and the M/G/1/K and finite-source disks compose the trees.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.model.parameters import (
     ParameterError,
     SystemParameters,
 )
+from repro.model.plan import SystemPlan
 from repro.queueing import UnstableQueueError
 
 __all__ = [
@@ -93,9 +99,10 @@ def _device_classes(params: SystemParameters) -> tuple[DeviceClass, ...]:
 class _ModelCore:
     """The solved queues and prediction surface every model shares.
 
-    Holds the frontend queue ``S_q`` (built once per model), the backend
-    each constructor solves through :meth:`_solve`, and the mixture
-    ``_system`` the query methods read.
+    Holds the frontend queue ``S_q`` (built once per model), the device
+    classes :meth:`_compose` was given and the mixture ``_system`` the
+    query methods read (a plan or a mixture of trees, see the module
+    docstring).  Backends and per-class trees are solved on first use.
     """
 
     def __init__(
@@ -113,8 +120,10 @@ class _ModelCore:
         self._s_q = frontend_queueing_latency(
             params.frontend, params.total_request_rate
         )
+        self._classes: dict[str, DeviceClass] = {}
         self._backends: dict[str, BackendModel] = {}
         self._device_latency: dict[str, Distribution] = {}
+        self._plan: SystemPlan | None = None
 
     def _solve(self, dev: DeviceParameters) -> BackendModel:
         backend = BackendModel.solve(dev, disk_queue=self.disk_queue)
@@ -123,18 +132,43 @@ class _ModelCore:
 
     def _compose(self, classes: Sequence[DeviceClass]) -> None:
         """Equation 2 per class, then the Equation 3 mixture over them."""
-        components = []
-        for cls in classes:
+        self._classes = {cls.params.name: cls for cls in classes}
+        if self.accept_mode in ("paper", "none") and self.disk_queue == "mm1k":
+            self._system = self._plan = SystemPlan(
+                self._s_q, classes, self.accept_mode, self._trees
+            )
+        else:
+            self._system = Mixture.rate_weighted(
+                self._trees(), [cls.weight for cls in classes]
+            )
+
+    def _trees(self) -> list[Distribution]:
+        """Every class's Equation-2 tree, in class order."""
+        return [self.device_latency(name) for name in self._classes]
+
+    def _class(self, name: str) -> DeviceClass:
+        try:
+            return self._classes[name]
+        except KeyError:
+            raise ParameterError(f"unknown device {name!r}") from None
+
+    def backend(self, name: str) -> BackendModel:
+        """The solved backend model for one device (or class)."""
+        if name not in self._backends:
+            self._solve(self._class(name).params)
+        return self._backends[name]
+
+    def device_latency(self, name: str) -> Distribution:
+        """``S_j``: response-latency distribution of one device (or class)."""
+        if name not in self._device_latency:
+            cls = self._class(name)
             latency = device_response(
-                self._s_q, self._solve(cls.params), accept_mode=self.accept_mode
+                self._s_q, self.backend(name), accept_mode=self.accept_mode
             )
             if cls.extra_delay is not None:
                 latency = convolve(latency, cls.extra_delay)
-            self._device_latency[cls.params.name] = latency
-            components.append(latency)
-        self._system = Mixture.rate_weighted(
-            components, [cls.weight for cls in classes]
-        )
+            self._device_latency[name] = latency
+        return self._device_latency[name]
 
     # ------------------------------------------------------------------
     # Predictions
@@ -170,6 +204,8 @@ class _ModelCore:
     def utilizations(self) -> Mapping[str, float]:
         """Per-device (or per-class, ``name#tag``) union-operation
         queue utilisation."""
+        if self._plan is not None:
+            return self._plan.utilizations()
         return {name: be.utilization for name, be in self._backends.items()}
 
 
@@ -209,20 +245,6 @@ class LatencyPercentileModel(_ModelCore):
         )
         self._compose(_device_classes(params))
 
-    def device_latency(self, name: str) -> Distribution:
-        """``S_j``: response-latency distribution of one device."""
-        try:
-            return self._device_latency[name]
-        except KeyError:
-            raise ParameterError(f"unknown device {name!r}") from None
-
-    def backend(self, name: str) -> BackendModel:
-        """The solved backend model for one device."""
-        try:
-            return self._backends[name]
-        except KeyError:
-            raise ParameterError(f"unknown device {name!r}") from None
-
     def device_sla_percentile(self, name: str, sla_seconds: float) -> float:
         """Per-device percentile (bottleneck identification)."""
         return float(self.device_latency(name).cdf(sla_seconds, method=self.inversion))
@@ -235,7 +257,7 @@ class LatencyPercentileModel(_ModelCore):
         s_q_mean = self._s_q.mean
         out = []
         for dev in self.params.devices:
-            be = self._backends[dev.name]
+            be = self.backend(dev.name)
             w_a = accept_wait(be.waiting_time, self.accept_mode)
             out.append(
                 PredictionBreakdown(
@@ -301,12 +323,11 @@ class LatencyPercentileModel(_ModelCore):
         return lo
 
     def _stable_at(self, factor: float) -> bool:
+        # Stability depends on the disk queue only; with M/M/1/K disks
+        # the model is a plan, whose construction solves no tree.
         try:
             LatencyPercentileModel(
-                self.params.scaled(factor),
-                accept_mode=self.accept_mode,
-                disk_queue=self.disk_queue,
-                inversion=self.inversion,
+                self.params.scaled(factor), disk_queue=self.disk_queue
             )
         except UnstableQueueError:
             return False

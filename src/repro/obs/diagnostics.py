@@ -23,8 +23,8 @@ failure modes observable without perturbing a single number:
   per-node structure, atom-at-zero mass, mean/variance (closed-form via
   transform derivatives where the node knows them, numeric fallback in
   :class:`~repro.distributions.composite.TransformDistribution`) and
-  cache-token reuse, so shared sub-composites -- the reason the eval
-  cache pays off -- are visible.  Rendered by ``cosmodel inspect``.
+  value-token reuse, so laws shared across devices are visible.
+  Rendered by ``cosmodel inspect``.
 
 Both contracts of the observability plane hold here too: **zero overhead
 off** (the sink lookup is one module-global read per inversion) and
@@ -251,8 +251,8 @@ class TreeNode:
     atom_at_zero: float
     cacheable: bool
     #: How many nodes in the *whole* tree share this node's cache token
-    #: (1 = unique; >1 = value-identical subtree reused, i.e. the memo
-    #: layer evaluates it once).  0 for uncacheable nodes.
+    #: (1 = unique; >1 = value-identical subtree reused).  0 for
+    #: uncacheable nodes.
     token_reuse: int
     children: tuple["TreeNode", ...]
 
@@ -359,8 +359,10 @@ def render_tree(dist_or_node, *, max_depth: int | None = None) -> str:
     """Indented text rendering of :func:`describe_tree`.
 
     Each line shows the node kind, its structural detail, mean/std/atom
-    and a ``xN`` marker when its cache token recurs N>1 times (the
-    subtree is evaluated once and served from the memo elsewhere).
+    and a ``xN`` marker when its value token recurs N>1 times (one law
+    shared across devices, such as a calibrated disk profile; a model's
+    :class:`~repro.model.plan.SystemPlan` evaluates a shared leaf law
+    once per node array).
     """
     node = (
         dist_or_node

@@ -68,9 +68,10 @@ class TelemetryConfig:
 
     ``trace_sample_rate`` > 0 installs a head-sampling
     :class:`~repro.obs.trace.Tracer` per cluster (seeded from
-    ``trace_seed`` and the cluster index) and, when
-    ``trace_dir`` is set, writes one ``trace-cluster%04d.jsonl`` per
-    cluster for :func:`merge_shard_traces`.  ``bus_path`` streams live
+    ``trace_seed`` and the cluster index) that writes one
+    ``trace-cluster%04d.jsonl`` per cluster into ``trace_dir`` for
+    :func:`merge_shard_traces`; a sample rate without a ``trace_dir``
+    is rejected, as its spans would go nowhere.  ``bus_path`` streams live
     shard snapshots onto that event log every ``stream_interval`` wall
     seconds.  ``profile`` switches on the kernel time profiler.
     """
@@ -86,6 +87,11 @@ class TelemetryConfig:
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError(
                 f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
+            )
+        if self.trace_sample_rate > 0.0 and self.trace_dir is None:
+            raise ValueError(
+                "trace_sample_rate > 0 needs a trace_dir: sampled spans are "
+                "only kept in the per-cluster trace files"
             )
         if not 0.0 <= self.stream_interval < math.inf:
             raise ValueError(

@@ -46,7 +46,17 @@ from scipy.special import gammainc
 from repro.distributions import Distribution, GridPMF, TransformDistribution
 from repro.queueing.errors import QueueingError
 
-__all__ = ["MM1KQueue"]
+__all__ = ["MM1KQueue", "mm1k_state_probabilities"]
+
+
+def mm1k_state_probabilities(u: np.ndarray, capacity: int) -> np.ndarray:
+    """``P_0 .. P_K`` (one row per offered load in ``u``) of the
+    truncated-geometric stationary law, uniform at ``u = 1``."""
+    # Normalised in log-safe form: u^i / sum u^j.
+    p = u[:, np.newaxis] ** np.arange(capacity + 1)
+    p = p / p.sum(axis=1, keepdims=True)
+    p[np.abs(u - 1.0) <= 2e-12] = 1.0 / (capacity + 1)  # u == 1 within 1e-12 + 1e-12
+    return p
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,13 +86,7 @@ class MM1KQueue:
 
     def state_probabilities(self) -> np.ndarray:
         """``P_0 .. P_K`` of the truncated-geometric stationary law."""
-        u = self.utilization_offered
-        k = np.arange(self.capacity + 1)
-        if np.isclose(u, 1.0, rtol=1e-12, atol=1e-12):
-            return np.full(self.capacity + 1, 1.0 / (self.capacity + 1))
-        # Normalised in log-safe form: u^i / sum u^j.
-        weights = u**k
-        return weights / weights.sum()
+        return mm1k_state_probabilities(np.array([self.utilization_offered]), self.capacity)[0]
 
     @property
     def blocking_probability(self) -> float:

@@ -61,10 +61,6 @@ class _UncachedDist:
 
 
 class TestUnhashableTokens:
-    def test_laplace_eval_names_the_offender(self):
-        with pytest.raises(TypeError, match=r"_BadTokenDist.*unhashable"):
-            evalcache.laplace_eval(_BadTokenDist(), np.array([1.0, 2.0]))
-
     def test_cached_grid_names_the_offender(self):
         with pytest.raises(TypeError, match=r"_BadTokenDist.*unhashable"):
             evalcache.cached_grid(_BadTokenDist(), 1e-3, 64, lambda: object())
@@ -82,9 +78,11 @@ class TestUnhashableTokens:
 
     def test_none_token_still_falls_through_uncached(self):
         s = np.array([1.0, 3.0])
-        out = evalcache.laplace_eval(_UncachedDist(), s)
+        out = evalcache.cached_inversion(
+            _UncachedDist(), "euler", 32, 0.0, s, lambda: np.exp(-s)
+        )
         np.testing.assert_allclose(out, np.exp(-s))
-        assert evalcache.stats()["laplace_entries"] == 0
+        assert evalcache.stats()["inversion_entries"] == 0
 
 
 class TestEmpiricalTokenIntegrity:
@@ -107,93 +105,13 @@ class TestEmpiricalTokenIntegrity:
         assert a.cache_token() != c.cache_token()
 
 
-class TestCacheHitSemantics:
-    def test_hit_returns_readonly_identical_array(self):
-        dist = Gamma(2.0, 100.0)
-        s = np.array([0.5, 5.0], dtype=complex)
-        first = evalcache.laplace_eval(dist, s)
-        before = evalcache.stats()["hits"]
-        second = evalcache.laplace_eval(dist, s)
-        assert evalcache.stats()["hits"] == before + 1
-        assert second is first
-        assert not second.flags.writeable
-        np.testing.assert_array_equal(first, dist.laplace(s))
-
-
-class TestSContextInterning:
-    def test_interned_key_matches_plain_key(self):
-        """Evaluations inside and outside an s_context share entries:
-        the interned key is identical to the per-call serialised one."""
-        dist = Gamma(2.0, 100.0)
-        s = np.linspace(1.0, 5.0, 8).astype(complex)
-        plain = evalcache.laplace_eval(dist, s.copy())
-        with evalcache.s_context(s) as interned:
-            hits_before = evalcache.stats()["hits"]
-            inside = evalcache.laplace_eval(dist, interned)
-        assert evalcache.stats()["hits"] == hits_before + 1
-        assert inside is plain
-
-    def test_context_restores_previous_interning(self):
-        s1 = np.array([1.0, 2.0], dtype=complex)
-        s2 = np.array([3.0, 4.0], dtype=complex)
-        with evalcache.s_context(s1) as a:
-            with evalcache.s_context(s2) as b:
-                assert evalcache._s_array is b
-            assert evalcache._s_array is a
-        assert evalcache._s_array is None
-
-    def test_different_array_same_values_still_correct(self):
-        """An array that merely *equals* the interned one (not identity)
-        must take the serialising path and still hit the same entry."""
-        dist = Gamma(1.5, 50.0)
-        s = np.array([0.5, 1.5], dtype=complex)
-        with evalcache.s_context(s):
-            first = evalcache.laplace_eval(dist, s)
-            second = evalcache.laplace_eval(dist, s.copy())
-        assert second is first
-
-
-class TestLaplaceMany:
-    def test_matches_per_child_laplace_eval(self):
-        dists = [Gamma(2.0, 100.0), Gamma(3.0, 80.0), Empirical([1.0, 2.0])]
-        s = np.linspace(0.5, 4.0, 6).astype(complex)
-        singles = [evalcache.laplace_eval(d, s) for d in dists]
-        batched = evalcache.laplace_many(dists, s)
-        for one, many in zip(singles, batched):
-            assert many is one  # cache hits hand back the same array
-
-    def test_uncacheable_children_fall_through(self):
-        class Opaque:
-            def cache_token(self):
-                return None
-
-            def laplace(self, s):
-                return np.exp(-np.asarray(s, dtype=complex))
-
-        dists = [Gamma(2.0, 100.0), Opaque()]
-        s = np.array([1.0, 2.0], dtype=complex)
-        out = evalcache.laplace_many(dists, s)
-        assert len(out) == 2
-        np.testing.assert_allclose(out[1], np.exp(-s))
-        # The opaque child must not have been stored.
-        assert evalcache.stats()["laplace_entries"] == 1
-
-    def test_disabled_cache_evaluates_directly(self):
-        dists = [Gamma(2.0, 100.0), Gamma(3.0, 80.0)]
-        s = np.array([1.0], dtype=complex)
-        with evalcache.bypass():
-            out = evalcache.laplace_many(dists, s)
-        assert evalcache.stats()["laplace_entries"] == 0
-        np.testing.assert_allclose(out[0], dists[0].laplace(s))
-
-
 class TestCompositeTokenMemo:
-    def test_token_computed_once_and_stable(self):
+    def test_token_is_stable(self):
         from repro.distributions.composite import Convolution, Mixture
 
         conv = Convolution([Gamma(2.0, 100.0), Gamma(3.0, 80.0)])
         token = conv.cache_token()
-        assert conv.cache_token() is token  # memoised, not rebuilt
+        assert conv.cache_token() == token
         mix = Mixture([conv, Gamma(1.0, 10.0)], [0.25, 0.75])
         assert mix.cache_token() == mix.cache_token()
 
@@ -305,7 +223,6 @@ class TestByteBoundedKofn:
                 for key in (
                     "hits",
                     "misses",
-                    "laplace_bytes",
                     "inversion_bytes",
                     "grid_bytes",
                     "grid_entries",
@@ -314,7 +231,6 @@ class TestByteBoundedKofn:
             }
 
         bounded, held = footprint()
-        assert held["laplace_bytes"] == 0
         assert held["inversion_bytes"] == 0
         assert 0 < held["grid_bytes"] <= 8 << 20
         assert held["evictions"] == 0

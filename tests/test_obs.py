@@ -297,7 +297,6 @@ class TestManifest:
             "hits",
             "misses",
             "evictions",
-            "laplace_bytes",
             "grid_bytes",
             "inversion_bytes",
             "max_bytes",
@@ -425,7 +424,7 @@ class TestEvalcacheBound:
         stats = evalcache.stats()
         assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
         assert stats["laplace_calls"] == 0
-        assert stats["laplace_bytes"] == stats["grid_bytes"] == 0
+        assert stats["grid_bytes"] == 0
         assert stats["inversion_bytes"] == 0
         assert stats["max_bytes"] == evalcache.MAX_BYTES
 

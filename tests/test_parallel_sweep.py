@@ -85,6 +85,38 @@ class TestParallelSweepDeterminism:
         )
 
 
+class TestPointsReleaseClusters:
+    def test_first_cluster_dead_by_third_point(self, monkeypatch):
+        """A finished point's cluster, a web of reference cycles, is
+        collected before the sweep measures two more points."""
+        import weakref
+
+        from repro.experiments import parallel
+
+        build = parallel.Cluster
+        refs, alive = [], []
+
+        def recording(*args, **kwargs):
+            if len(refs) == 2:
+                alive.append(refs[0]() is not None)
+            cluster = build(*args, **kwargs)
+            refs.append(weakref.ref(cluster))
+            return cluster
+
+        monkeypatch.setattr(parallel, "Cluster", recording)
+        scenario = dataclasses.replace(
+            scenario_s1(),
+            n_objects=2_000,
+            warm_accesses=4_000,
+            rates=(40.0, 60.0, 80.0),
+            window_duration=1.0,
+            settle_duration=0.5,
+        )
+        cal = calibrate(scenario, disk_objects=200, parse_requests=20, seed=3)
+        run_sweep(scenario, seed=3, calibration=cal, jobs=1)
+        assert alive == [False]
+
+
 class TestStreamEquivalence:
     def test_buffered_integers_matches_scalar_draws(self):
         scalar = np.random.default_rng(42)

@@ -192,8 +192,26 @@ class TestTelemetryConfigValidation:
             TelemetryConfig(stream_interval=interval)
 
     def test_accepts_edges(self):
-        assert TelemetryConfig(trace_sample_rate=1.0, stream_interval=0.0).tracing
+        assert TelemetryConfig(
+            trace_sample_rate=1.0, trace_dir="traces", stream_interval=0.0
+        ).tracing
         assert not TelemetryConfig(trace_sample_rate=0.0).tracing
+
+    def test_rejects_sample_rate_without_trace_dir(self):
+        with pytest.raises(ValueError, match="trace_dir"):
+            TelemetryConfig(trace_sample_rate=0.5)
+
+    def test_cli_rejects_sample_without_trace_dir(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(fleet_mod, "run_fleet", no_episode)
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--sample", "0.5"])
+        assert exc.value.code == 2
+        assert "--trace-dir" in capsys.readouterr().err
 
     def test_cli_rejects_nan_sample_before_running(self, monkeypatch):
         from repro.cli import main
