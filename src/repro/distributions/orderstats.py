@@ -108,7 +108,10 @@ def _lattice_moments(dist: Distribution, scale: float) -> tuple[float, float]:
     doubling captures no more of it (a child that is itself a truncated
     lattice never reaches the target; the finer lattice is kept).
     Children with infinite moments (heavy Pareto tails) yield
-    horizon-truncated values -- the CDF itself stays exact.
+    horizon-truncated values -- the CDF itself stays exact.  Only a
+    caller reading an order statistic's ``mean`` or ``second_moment``
+    builds these lattices: the redundant model sizes its composition
+    horizon from the children's analytic means instead.
     """
     if scale <= 0.0:
         # Children carry no mass above zero: the order statistic is the

@@ -61,6 +61,7 @@ from repro.distributions import (
     GridDistribution,
     LatticeError,
     Mixture,
+    OrderStatistic,
     convolve,
     grid_of,
     order_statistic,
@@ -81,6 +82,13 @@ _GRID_BINS = 4096
 #: horizon stops doubling.
 _MASS_THRESHOLD = 0.9995
 _MAX_DOUBLINGS = 8
+#: The starting horizon, in multiples of ``E[S_q]`` plus the race's
+#: analytic scale (:func:`_race_scale`).  On the light-tailed accuracy
+#: cases of ``tests/test_redundant_reads.py`` and the what-if kofn sets,
+#: the older horizon of 12 combined means (with the race's lattice mean)
+#: came to 11.4--14.8 such sums, so at 11 no row starts on a coarser
+#: lattice than it did, and none on one shorter by more than half.
+_SPAN_SCALES = 11.0
 
 
 def replica_sets_from_ring(
@@ -119,19 +127,51 @@ def replica_sets_from_ring(
     )
 
 
+def _race_scale(race: Distribution) -> float:
+    """An analytic order of magnitude for a race, cheaper than its mean.
+
+    An order statistic's mean has no closed form (it comes from a moment
+    lattice).  Its scale is the mean it would have over exponential
+    children of the same (analytic) means: by the max-min identity the
+    ``k``-th smallest of ``n`` is ``sum_{|S| >= r} (-1)^(|S| - r)
+    C(|S| - 1, r - 1) min_S`` with ``r = n - k + 1``, and a minimum of
+    exponentials has mean ``1 / sum_S rate``.  A mixture of replica
+    subsets takes the weighted sum of its statistics' scales; anything
+    else its own mean.
+    """
+    if isinstance(race, OrderStatistic):
+        rates = [1.0 / c.mean if c.mean > 0.0 else math.inf for c in race.components]
+        r = race.n - race.k + 1
+        return sum(
+            (-1) ** (m - r)
+            * math.comb(m - 1, r - 1)
+            * sum(
+                1.0 / total if (total := sum(subset)) > 0.0 else math.inf
+                for subset in itertools.combinations(rates, m)
+            )
+            for m in range(r, race.n + 1)
+        )
+    if isinstance(race, Mixture):
+        return float(
+            sum(w * _race_scale(c) for w, c in zip(race.weights, race.components))
+        )
+    return race.mean
+
+
 def _compose_grid(s_q: Distribution, race: Distribution) -> Distribution:
     """``S_q * race`` on a lattice with an adaptive horizon.
 
-    The horizon starts at the power of two (in seconds) at or above 12
-    combined means (the span heuristic the equilibrium accept-wait grid
-    uses; the power of two puts every row, and the order statistics'
-    moments, on shared lattices) and doubles until the convolved
-    lattice keeps at least ``_MASS_THRESHOLD`` of the probability mass,
-    so heavy-tailed races (Pareto file sizes, saturating replicas) do
-    not silently truncate; a lattice still short of it after
-    ``_MAX_DOUBLINGS`` horizons raises :class:`LatticeError`.
+    The horizon starts at the power of two (in seconds) at or above
+    ``_SPAN_SCALES`` times ``E[S_q]`` plus the race's analytic scale
+    (:func:`_race_scale`; the power of two puts every row on shared
+    lattices, so rows share their children's discretisations) and
+    doubles until the convolved lattice keeps at least
+    ``_MASS_THRESHOLD`` of the probability mass, so heavy-tailed races
+    (Pareto file sizes, saturating replicas) do not silently truncate;
+    a lattice still short of it after ``_MAX_DOUBLINGS`` horizons raises
+    :class:`LatticeError`.  No order statistic's moments are computed.
     """
-    span = 12.0 * (s_q.mean + race.mean)
+    span = _SPAN_SCALES * (s_q.mean + _race_scale(race))
     if span <= 0.0 or not math.isfinite(span):
         raise ParameterError(
             f"cannot choose a composition horizon from span {span}"

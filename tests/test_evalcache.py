@@ -183,7 +183,7 @@ class TestByteBoundedKofn:
     node arrays or inversions in the memo, only 4,096-bin grids, and
     the byte bound must never change an answer."""
 
-    @pytest.mark.parametrize("max_bytes", [1 << 20, 4 << 20])
+    @pytest.mark.parametrize("max_bytes", [1 << 18, 1 << 20, 4 << 20])
     def test_tight_ceiling_answers_bit_identical(
         self, monkeypatch, kofn_reference, max_bytes
     ):
@@ -193,13 +193,13 @@ class TestByteBoundedKofn:
         assert _kofn_answers(params, _ROW) == default
         stats = evalcache.stats()
         assert stats["grid_bytes"] <= max_bytes
-        if max_bytes == 1 << 20:
-            # The query's 1.3 MB of lattices does not fit: grids were
+        if max_bytes == 1 << 18:
+            # The query's 0.52 MB of lattices does not fit: grids were
             # dropped, and the answers above did not move.
             assert stats["evictions"] > 0
 
     def test_default_ceiling_loses_no_hits(self, monkeypatch):
-        """Over four distinct devices the query holds about 4.7 MB of
+        """Over four distinct devices the query holds about 1.5 MB of
         lattices and no transform or inversion arrays, so the default
         ceiling does not bind: an unbounded memo gets the same hits and
         misses and ends in the same state."""
@@ -232,7 +232,7 @@ class TestByteBoundedKofn:
 
         bounded, held = footprint()
         assert held["inversion_bytes"] == 0
-        assert 0 < held["grid_bytes"] <= 8 << 20
+        assert 0 < held["grid_bytes"] <= 2 << 20
         assert held["evictions"] == 0
         monkeypatch.setattr(evalcache, "MAX_BYTES", sys.maxsize)
         assert footprint() == (bounded, held)

@@ -755,3 +755,123 @@ class TestTowardSaturation:
         assert np.all(np.isfinite(answers))
         assert np.all((answers >= 0.0) & (answers <= 1.0))
         assert np.all(np.diff(answers) >= 0.0)
+
+
+# ----------------------------------------------------------------------
+# the composition horizon
+# ----------------------------------------------------------------------
+
+#: ``(strategy, fanout)`` of each redundant order.
+_ORDERS = (("kofn", 2), ("quorum", 1), ("forkjoin", 2))
+
+#: ``sum_row w * race.mean`` over the ``replica_rows`` races of
+#: ``_skewed_params(n_processes)``: the order statistics' lattice
+#: moments, as the mean-sized horizon read them (equal bit for bit on
+#: the machine that recorded them; 1e-12 leaves room for another FFT).
+_RACE_MEANS = {
+    ("kofn", 1): "0x1.2aa269f29512ep-6",
+    ("quorum", 1): "0x1.d550642f57c9fp-6",
+    ("forkjoin", 1): "0x1.7c4a592fc9aa4p-5",
+    ("kofn", 16): "0x1.bbf9ad912fceep-7",
+    ("quorum", 16): "0x1.7a12ef36d749cp-6",
+    ("forkjoin", 16): "0x1.4a1d52510cc1cp-5",
+}
+
+
+class TestAnalyticHorizon:
+    """A redundant query sizes its lattices from the races' analytic
+    scales, so it builds no order-statistic moment lattice; the moments
+    stay lazy, and unchanged, for a caller that asks for them."""
+
+    @pytest.mark.parametrize("n_processes", [1, 16])
+    @pytest.mark.parametrize("strategy, fanout", _ORDERS)
+    def test_query_builds_no_moment_lattice(
+        self, monkeypatch, replica_rows, strategy, fanout, n_processes
+    ):
+        from repro.distributions import evalcache, orderstats
+
+        calls = []
+        moments = orderstats._lattice_moments
+
+        def counting(*args):
+            calls.append(1)
+            return moments(*args)
+
+        monkeypatch.setattr(orderstats, "_lattice_moments", counting)
+        evalcache.clear()
+        model = RedundantLatencyModel(
+            _skewed_params(n_processes), replica_rows, strategy=strategy, fanout=fanout
+        )
+        model.sla_percentile(0.05)
+        model.sla_percentiles([0.02, 0.05, 0.1])
+        model.latency_quantile(0.99)
+        mean = model.mean_latency
+        assert calls == []
+        race_mean = sum(w * race.mean for race, w in model._rows)
+        assert calls
+        expected = float.fromhex(_RACE_MEANS[strategy, n_processes])
+        assert race_mean == pytest.approx(expected, rel=1e-12)
+        # The composed lattice keeps the mean: within 3e-5 (the
+        # mean-sized horizon's worst case) of E[S_q] + E[race].
+        assert mean == pytest.approx(model._s_q.mean + race_mean, rel=3e-5)
+
+
+def _pareto_params() -> SystemParameters:
+    """``_skewed_params(1)`` with ``Pareto(2.5)`` index and data reads."""
+    from repro.distributions.tails import Pareto
+
+    params = _skewed_params(1)
+    disk = DiskLatencyProfile(
+        index=Pareto(2.5, 0.006), meta=Gamma(1.8, 210.0), data=Pareto(2.5, 0.009)
+    )
+    return dataclasses.replace(
+        params,
+        devices=tuple(dataclasses.replace(d, disk=disk) for d in params.devices),
+    )
+
+
+#: ``|F_4096 - F_65536|`` at ``_ACCURACY_SLAS`` of the previous horizon,
+#: 12 combined means with the order statistics' lattice means.
+_MEAN_SIZED_ERRORS = {
+    "kofn-1": (1.3171668935552105e-06, 5.76779878080913e-07, 1.738997523759167e-08),
+    "quorum-1": (1.3635550458745982e-06, 3.954630244940027e-06, 1.9039738752280044e-07),
+    "forkjoin-1": (9.054092819926751e-07, 2.3257686554978285e-05, 9.06647480913847e-06),
+    "kofn-16": (8.444984551658763e-07, 1.984173878533113e-07, 4.383781671002396e-09),
+    "quorum-16": (1.619345601555633e-06, 1.1453753573364978e-06, 5.154871607349065e-08),
+    "forkjoin-16": (1.3157149879594598e-06, 3.935036591906638e-06, 1.571019695112419e-06),
+    "forkjoin-pareto": (
+        8.219378663132382e-05,
+        0.00010585350302794172,
+        0.00010417053147726563,
+    ),
+}
+_ACCURACY_SLAS = (0.02, 0.05, 0.1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(_MEAN_SIZED_ERRORS))
+def test_lattice_accuracy_against_fine_lattice(monkeypatch, replica_rows, case):
+    """At 4,096 bins every answer lies as close to the 65,536-bin answer
+    as the mean-sized horizon's did (or within 1e-7): the span constant
+    trades no accuracy for the moment lattices it skips.  Six cases
+    start on the same lattices as before, so their errors are equal; the
+    1e-12 absorbs another FFT build's round-off."""
+    from repro.distributions import evalcache
+    from repro.model import redundancy
+
+    strategy, _, shape = case.partition("-")
+    if shape == "pareto":
+        params = _pareto_params()
+        rows = ((("dev0", "dev1", "dev2"), 0.5), (("dev1", "dev2", "dev3"), 0.5))
+    else:
+        params, rows = _skewed_params(int(shape)), replica_rows
+    fanout = dict(_ORDERS)[strategy]
+
+    def answers(bins):
+        monkeypatch.setattr(redundancy, "_GRID_BINS", bins)
+        evalcache.clear()
+        model = RedundantLatencyModel(params, rows, strategy=strategy, fanout=fanout)
+        return model.sla_percentiles(_ACCURACY_SLAS)
+
+    errors = np.abs(answers(4096) - answers(65536))
+    assert np.all(errors <= np.maximum(_MEAN_SIZED_ERRORS[case], 1e-7) + 1e-12)
